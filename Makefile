@@ -88,13 +88,12 @@ batch-race:
 		./internal/tensor/ ./internal/lstm/ ./internal/gru/ ./internal/serve/
 
 # Kernel-chain matrix: the equivalence and determinism suites re-run
-# with each chain forced process-wide via MOBILSTM_KERNEL_CHAIN.
-# generic disables every assembly body (the pure-Go reference
-# configuration), sse2 is the default canonical chain, and avx2 forces
-# the wide chain — served by the pure-Go wide twin when the host lacks
-# AVX2+FMA, so the matrix passes on any amd64 or non-amd64 runner.
+# with each chain forced process-wide via MOBILSTM_KERNEL_CHAIN. sse2
+# is the default canonical chain, and avx2 forces the wide chain —
+# served by the pure-Go wide twin when the host lacks AVX2+FMA, so the
+# matrix passes on any amd64 or non-amd64 runner.
 chain-matrix:
-	for chain in generic sse2 avx2; do \
+	for chain in sse2 avx2; do \
 		echo "=== MOBILSTM_KERNEL_CHAIN=$$chain ==="; \
 		MOBILSTM_KERNEL_CHAIN=$$chain $(GO) test -count=1 \
 			-run 'Bitwise|Repeatable|ColdCache|Invalidate|Equivalent|Matches|Wide|Chain' \

@@ -49,7 +49,7 @@ func TestStampEnvRecordsChainAndFeatures(t *testing.T) {
 	doc := &document{}
 	stampEnv(doc)
 	switch doc.KernelChain {
-	case "generic", "sse2", "avx2":
+	case "sse2", "avx2":
 	default:
 		t.Fatalf("kernel_chain = %q, want a concrete chain name", doc.KernelChain)
 	}

@@ -199,7 +199,7 @@ func Elementwise(dst, a []float32) {
 	}
 }
 
-func Wide(xs []float32) float32 {
+func Float64Acc(xs []float32) float32 {
 	var s float64
 	for _, x := range xs {
 		s += float64(x)
@@ -432,11 +432,24 @@ func Gemv(dst Vector, m *Matrix, x Vector) {}
 func FusedMagic(dst Vector, m *Matrix) {}
 
 func Scale(x float32) float32 { return x }
+
+type KernelChain uint32
+
+func (c KernelChain) Gemv(dst Vector, m *Matrix, x Vector) {}
+
+func (c KernelChain) FusedMagic(dst Vector, m *Matrix) {}
+
+func (c KernelChain) String() string { return "" }
+
+func (m *Matrix) Row(i int) Vector { return nil }
 `
 	got := runFixture(t, Lookup("kernelcontracts"), "mobilstmfix/internal/tensor", "internal/tensor/tensor.go", src)
-	wantLines(t, got, "kernelcontracts", 12)
+	wantLines(t, got, "kernelcontracts", 12, 20)
 	if !strings.Contains(got[0].Message, "FusedMagic") || !strings.Contains(got[0].Message, "shapecheck") {
 		t.Errorf("message should name the kernel and the registry: %s", got[0].Message)
+	}
+	if !strings.Contains(got[1].Message, "KernelChain.FusedMagic") {
+		t.Errorf("message should name the chain method: %s", got[1].Message)
 	}
 }
 

@@ -56,12 +56,22 @@ func PackedGemm(dst *Matrix, m *Matrix, xs []Vector)                        {}
 func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, sk [][]bool, f float32) {}
 func ParallelGemv(dst Vector, m *Matrix, x Vector)                          {}
 func ParallelGemm(dst, a, b *Matrix)                                        {}
-func WideGemv(dst Vector, m *Matrix, x Vector)                              {}
-func WideGemvRows(dst Vector, m *Matrix, x Vector, skip []bool, f float32)  {}
-func WidePackedGemv(dsts []Vector, m *Matrix, x Vector)                     {}
-func WidePackedGemvRows(dsts []Vector, m *Matrix, x Vector, s []bool, f float32) {}
-func WidePackedGemm(dst *Matrix, m *Matrix, xs []Vector)                    {}
-func WidePackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, sk [][]bool, f float32) {}
+
+type KernelChain uint32
+
+const (
+	ChainAuto KernelChain = iota
+	ChainSSE2
+	ChainAVX2
+)
+
+func (c KernelChain) Gemv(dst Vector, m *Matrix, x Vector)                              {}
+func (c KernelChain) GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, f float32)  {}
+func (c KernelChain) PackedGemv(dsts []Vector, m *Matrix, x Vector)                     {}
+func (c KernelChain) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, s []bool, f float32) {}
+func (c KernelChain) PackedGemm(dst *Matrix, m *Matrix, xs []Vector)                    {}
+func (c KernelChain) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, sk [][]bool, f float32) {}
+
 func Add(dst, a, b Vector)                                                  {}
 func Mul(dst, a, b Vector)                                                  {}
 func Axpy(dst Vector, alpha float32, x Vector)                              {}
@@ -251,30 +261,32 @@ func f(h int) {
 }
 
 func TestShapeCheckFiresOnWideKernelMismatch(t *testing.T) {
-	// The Wide* family carries the same dimension contracts as the
-	// canonical kernels; the switch must check it under its own names.
+	// The KernelChain kernel methods — a constant chain or a resolved
+	// chain value, the form the lstm/gru hot paths call — carry the same
+	// dimension contracts as the package-level kernels and are checked
+	// under the same names.
 	src := `package bad
 
 import "mobilstm/internal/tensor"
 
-func f(h, e int, x tensor.Vector) {
+func f(h, e int, x tensor.Vector, kc tensor.KernelChain) {
 	U := tensor.NewMatrix(4*h, e)
 	dst := tensor.NewVector(h)
-	tensor.WideGemv(dst, U, x)
+	tensor.ChainAVX2.Gemv(dst, U, x)
 	W := tensor.Pack(tensor.NewMatrix(h, e), tensor.NewMatrix(h, e), tensor.NewMatrix(h, e))
 	wx := tensor.NewMatrix(7, 4*h)
 	xs := make([]tensor.Vector, 7)
-	tensor.WidePackedGemm(wx, W, xs)
+	kc.PackedGemm(wx, W, xs)
 }
 `
 	got := runFixtureWith(t, Lookup("shapecheck"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
 	wantLines(t, got, "shapecheck", 8, 12)
-	for _, want := range []string{"WideGemv", "dst length", "h", "4*h"} {
+	for _, want := range []string{"Gemv", "dst length", "h", "4*h"} {
 		if !strings.Contains(got[0].Message, want) {
 			t.Errorf("message should report the inferred shapes (%q): %s", want, got[0].Message)
 		}
 	}
-	for _, want := range []string{"WidePackedGemm", "dst cols", "4*h", "united rows", "3*h"} {
+	for _, want := range []string{"PackedGemm", "dst cols", "4*h", "united rows", "3*h"} {
 		if !strings.Contains(got[1].Message, want) {
 			t.Errorf("message should report the united shapes (%q): %s", want, got[1].Message)
 		}
@@ -282,21 +294,21 @@ func f(h, e int, x tensor.Vector) {
 }
 
 func TestShapeCheckWideKernelClean(t *testing.T) {
-	// Shape-consistent wide calls stay silent, including the batched
-	// recurrent kernel with a per-member mask set.
+	// Shape-consistent KernelChain method calls stay silent, including
+	// the batched recurrent kernel with a per-member mask set.
 	src := `package ok
 
 import "mobilstm/internal/tensor"
 
-func f(h, b int, x tensor.Vector) {
+func f(h, b int, x tensor.Vector, kc tensor.KernelChain) {
 	uni := tensor.Pack(tensor.NewMatrix(h, h), tensor.NewMatrix(h, h),
 		tensor.NewMatrix(h, h), tensor.NewMatrix(h, h))
 	dst := tensor.NewVector(4 * h)
-	tensor.WideGemv(dst, uni, x)
+	tensor.ChainAVX2.Gemv(dst, uni, x)
 	gather := make([]tensor.Vector, b)
 	masks := make([][]bool, b)
 	out := tensor.NewMatrix(b, 4*h)
-	tensor.WidePackedGemmRows(out, uni, gather, masks, 0)
+	kc.PackedGemmRows(out, uni, gather, masks, 0)
 }
 `
 	if got := runFixtureWith(t, Lookup("shapecheck"), "mobilstm/internal/ok", "internal/ok/ok.go", src); len(got) != 0 {

@@ -15,11 +15,11 @@ import (
 // the first bad dimension surfaces as a runtime Panicf. This analyzer
 // closes the gap from the definition side:
 //
-//   - an exported top-level function in internal/tensor taking kernel
-//     data (a Vector or length-checked slice, a Matrix, or a slice of
-//     vectors) must appear in tensorKernelCoverage — the names the
-//     call-site switch handles, plus the shape-free reductions that
-//     are deliberately exempt;
+//   - an exported top-level function or KernelChain method in
+//     internal/tensor taking kernel data (a Vector or length-checked
+//     slice, a Matrix, or a slice of vectors) must appear in
+//     tensorKernelCoverage — the names the call-site switch handles,
+//     plus the shape-free reductions that are deliberately exempt;
 //   - an exported kernels.Builder cost constructor (a method returning
 //     KernelSpec, (KernelSpec, bool), or []KernelSpec) must have a
 //     kernelContracts row.
@@ -34,19 +34,17 @@ func init() {
 	})
 }
 
-// tensorKernelCoverage lists the exported tensor functions shapecheck
-// accounts for: the call-site switch cases, the shape-deriving
-// AbsRowSums (handled in vectorFact), and the shape-free single-vector
-// reductions ArgMax and MaxAbs, which have no cross-argument dimension
-// contract to check.
+// tensorKernelCoverage lists the exported tensor functions and
+// KernelChain methods shapecheck accounts for (a method is checked
+// under the name of its package-level twin): the call-site switch
+// cases, the shape-deriving AbsRowSums (handled in vectorFact), and the
+// shape-free single-vector reductions ArgMax and MaxAbs, which have no
+// cross-argument dimension contract to check.
 var tensorKernelCoverage = map[string]bool{
 	"Gemv": true, "GemvRows": true, "ParallelGemv": true,
 	"Gemm": true, "ParallelGemm": true,
 	"PackedGemv": true, "PackedGemvRows": true,
 	"PackedGemm": true, "PackedGemmRows": true,
-	"WideGemv": true, "WideGemvRows": true,
-	"WidePackedGemv": true, "WidePackedGemvRows": true,
-	"WidePackedGemm": true, "WidePackedGemmRows": true,
 	"Pack": true,
 	"Add":  true, "Mul": true, "Axpy": true, "Dot": true,
 	"SigmoidVec": true, "HardSigmoidVec": true, "TanhVec": true,
@@ -68,15 +66,23 @@ func runKernelContracts(pass *Pass) []Finding {
 	return nil
 }
 
-// tensorCoverage flags exported top-level tensor functions that take
-// kernel data but are unknown to shapecheck.
+// tensorCoverage flags exported top-level tensor functions and
+// KernelChain methods that take kernel data but are unknown to
+// shapecheck.
 func tensorCoverage(pass *Pass) []Finding {
 	var findings []Finding
 	for _, file := range pass.Pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+			if !ok || !fd.Name.IsExported() {
 				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				if len(fd.Recv.List) != 1 || !isKernelChain(pass.TypeOf(fd.Recv.List[0].Type)) {
+					continue
+				}
+				name = "KernelChain." + name
 			}
 			if tensorKernelCoverage[fd.Name.Name] || !takesKernelData(pass, fd) {
 				continue
@@ -86,7 +92,7 @@ func tensorCoverage(pass *Pass) []Finding {
 				Pos:      pass.Position(fd.Pos()),
 				Message: fmt.Sprintf("exported kernel tensor.%s is not covered by shapecheck: "+
 					"add a call-site case (or a tensorKernelCoverage entry if it has no "+
-					"cross-argument shape contract)", fd.Name.Name),
+					"cross-argument shape contract)", name),
 			})
 		}
 	}

@@ -371,11 +371,11 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			return nil
 		}
 		switch name {
-		case "Gemv", "GemvRows", "ParallelGemv", "WideGemv", "WideGemvRows":
+		case "Gemv", "GemvRows", "ParallelGemv":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "m rows", rows)
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
-			if name == "GemvRows" || name == "WideGemvRows" {
+			if name == "GemvRows" {
 				c.require(call, name, "skip length", c.vdim(ev, arg(3)), "m rows", rows)
 			}
 		case "Gemm", "ParallelGemm":
@@ -385,19 +385,19 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			c.require(call, name, "a cols", ac, "b rows", br)
 			c.require(call, name, "dst rows", dr, "a rows", ar)
 			c.require(call, name, "dst cols", dc, "b cols", bc)
-		case "PackedGemv", "PackedGemvRows", "WidePackedGemv", "WidePackedGemvRows":
+		case "PackedGemv", "PackedGemvRows":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
 			// The per-gate destinations tile the united matrix: each dst
 			// segment length must divide the united row count.
 			c.requireDivides(call, name, "dst segment length", c.vovOf(ev, arg(0)).elem, "united rows", rows)
-			if name == "PackedGemvRows" || name == "WidePackedGemvRows" {
+			if name == "PackedGemvRows" {
 				// The skip mask covers one segment of the united matrix:
 				// its length must divide the united row count (rows =
 				// len(dsts) × segment).
 				c.requireDivides(call, name, "skip length", c.vdim(ev, arg(3)), "united rows", rows)
 			}
-		case "PackedGemmRows", "WidePackedGemmRows":
+		case "PackedGemmRows":
 			// The batch-B recurrent kernel: dst is len(xs) × m.Rows, and
 			// each per-input skip mask tiles the united row count the way
 			// PackedGemvRows' segment mask does.
@@ -410,7 +410,7 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			skips := c.vovOf(ev, arg(3))
 			c.require(call, name, "skips count", skips.count, "xs count", xs.count)
 			c.requireDivides(call, name, "skip mask length", skips.elem, "united rows", mr)
-		case "PackedGemm", "WidePackedGemm":
+		case "PackedGemm":
 			// dst is len(xs) × m.Rows: its column count is the united row
 			// count (4h for the LSTM's W_{f,i,c,o}, 3h for the GRU's).
 			dr, dc := c.mdims(ev, arg(0))
@@ -577,10 +577,15 @@ func (c *shapeClient) kernelCallee(call *ast.CallExpr) string {
 
 // tensorCallee returns the bare name of a function from the tensor
 // package (qualified tensor.Gemv or an unqualified call inside the
-// package itself), or "".
+// package itself) or of a kernel method on a tensor.KernelChain value
+// (kc.Gemv, tensor.ChainAVX2.PackedGemm — checked under the same case
+// as the package-level kernel), or "".
 func (c *shapeClient) tensorCallee(call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
+		if isKernelChain(c.pass.TypeOf(fun.X)) {
+			return fun.Sel.Name
+		}
 		id, ok := fun.X.(*ast.Ident)
 		if !ok {
 			return ""
@@ -1013,6 +1018,16 @@ func isTensorMatrix(t types.Type) bool {
 		return false
 	}
 	return n.Obj().Name() == "Matrix" && strings.HasSuffix(n.Obj().Pkg().Path(), tensorPkgSuffix)
+}
+
+// isKernelChain reports whether t is tensor.KernelChain, the receiver
+// of the chain-parameterized kernel methods.
+func isKernelChain(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
+	}
+	return n.Obj().Name() == "KernelChain" && strings.HasSuffix(n.Obj().Pkg().Path(), tensorPkgSuffix)
 }
 
 // isLengthChecked reports whether t participates in the length lattice:

@@ -32,7 +32,7 @@ func (n *Network) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vect
 		lens[i] = len(xs)
 		total += len(xs)
 	}
-	kf := kernelsFor(opt.Chain)
+	kc := tensor.ResolveChain(opt.Chain)
 	sc := newBatchScratch(n.Layers[0].Hidden, lens)
 
 	flat := make([]tensor.Vector, 0, total)
@@ -41,11 +41,11 @@ func (n *Network) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vect
 	}
 	seq := flat
 	for _, l := range n.Layers {
-		seq = n.runLayerBatch(l, seq, opt, sc, kf)
+		seq = n.runLayerBatch(l, seq, opt, sc, kc)
 	}
 	out := make([]tensor.Vector, len(seqs))
 	for i := range seqs {
-		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], kf)
+		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], kc)
 	}
 	return out
 }
@@ -74,9 +74,9 @@ func (n *Network) ClassifyBatchE(seqs [][]tensor.Vector, opt RunOptions) (classe
 
 // headLogits applies the linear head to a final hidden state, returning
 // freshly allocated logits (never an arena view).
-func (n *Network) headLogits(last tensor.Vector, kf *kernelFns) tensor.Vector {
+func (n *Network) headLogits(last tensor.Vector, kc tensor.KernelChain) tensor.Vector {
 	logits := tensor.NewVector(n.Head.Rows)
-	kf.gemv(logits, n.Head, last)
+	kc.Gemv(logits, n.Head, last)
 	tensor.Add(logits, logits, n.HeadBias)
 	return logits
 }
@@ -114,14 +114,14 @@ func (n *Network) runBatchSerial(seqs [][]tensor.Vector, opt RunOptions) []tenso
 		}
 	}
 	sc := newLayerScratch(n.Layers[0].Hidden, maxLen)
-	kf := kernelsFor(opt.Chain)
+	kc := tensor.ResolveChain(opt.Chain)
 	out := make([]tensor.Vector, len(seqs))
 	for i, xs := range seqs {
 		seq := xs
 		for li, l := range n.Layers {
-			seq = n.runLayer(li, l, seq, opt, nil, sc, kf)
+			seq = n.runLayer(li, l, seq, opt, nil, sc, kc)
 		}
-		out[i] = n.headLogits(seq[len(seq)-1], kf)
+		out[i] = n.headLogits(seq[len(seq)-1], kc)
 	}
 	return out
 }
@@ -272,14 +272,14 @@ func (sc *batchScratch) uhView(rows int) *tensor.Matrix {
 
 // runLayerBatch is the batched counterpart of runLayer's sequential
 // flow.
-func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc *batchScratch, kf *kernelFns) []tensor.Vector {
+func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc *batchScratch, kc tensor.KernelChain) []tensor.Vector {
 	h := l.Hidden
 	pw := l.packedWeights()
 	sc.reset(h, sc.lens)
 
 	// United input projections for every cell of every member: one
 	// weight stream over W_{z,r,h} for the whole batch.
-	kf.packedGemm(sc.wx, pw.w, xs)
+	kc.PackedGemm(sc.wx, pw.w, xs)
 
 	for i := range sc.lens {
 		sc.state(i).Fill(0)
@@ -306,7 +306,7 @@ func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc
 		// z and r first, batched: U_{z,r} streams once for the active
 		// set; z gates the carry (DRS) decision.
 		zrB := sc.zrView(len(act))
-		kf.packedGemmRows(zrB, pw.uzr, g, nil, 0)
+		kc.PackedGemmRows(zrB, pw.uzr, g, nil, 0)
 		for k, i := range act {
 			row := sc.wx.Row(sc.offs[i] + t)
 			xz, xr := row[:h], row[h:2*h]
@@ -337,7 +337,7 @@ func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc
 		// The candidate's recurrent product under the carry masks: U_h
 		// streams once for the active set.
 		uhB := sc.uhView(len(act))
-		kf.packedGemmRows(uhB, l.Uh, rh, skips, 0)
+		kc.PackedGemmRows(uhB, l.Uh, rh, skips, 0)
 
 		for k, i := range act {
 			st := sc.states[i]

@@ -115,7 +115,7 @@ func forwardAll(n *Network, l *Layer, seqs [][]tensor.Vector) ([][]tensor.Vector
 // sequence's outputs at once, so they cannot stay in the reused scratch
 // slabs.
 func runLayerExact(n *Network, l *Layer, xs []tensor.Vector, sc *layerScratch) []tensor.Vector {
-	hs := n.runLayer(0, l, xs, Baseline(), nil, sc, &canonicalKernels)
+	hs := n.runLayer(0, l, xs, Baseline(), nil, sc, tensor.ChainSSE2)
 	h := l.Hidden
 	buf := make([]float32, len(hs)*h)
 	out := make([]tensor.Vector, len(hs))

@@ -188,7 +188,7 @@ func (n *Network) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 			tensor.Panicf("gru: %d predictors for %d layers", len(opt.Predictors), len(n.Layers))
 		}
 	}
-	kf := kernelsFor(opt.Chain)
+	kc := tensor.ResolveChain(opt.Chain)
 	sc := newLayerScratch(n.Layers[0].Hidden, len(xs))
 	seq := xs
 	for li, l := range n.Layers {
@@ -197,11 +197,11 @@ func (n *Network) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(seq)})
 			lt = &opt.Trace.Layers[len(opt.Trace.Layers)-1]
 		}
-		seq = n.runLayer(li, l, seq, opt, lt, sc, kf)
+		seq = n.runLayer(li, l, seq, opt, lt, sc, kc)
 	}
 	last := seq[len(seq)-1]
 	logits := tensor.NewVector(n.Head.Rows)
-	kf.gemv(logits, n.Head, last)
+	kc.Gemv(logits, n.Head, last)
 	tensor.Add(logits, logits, n.HeadBias)
 	return logits
 }
@@ -305,7 +305,7 @@ func (sc *layerScratch) nextHS() []tensor.Vector {
 	return sc.hsB[:sc.cells]
 }
 
-func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions, lt *LayerTrace, sc *layerScratch, kf *kernelFns) []tensor.Vector {
+func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions, lt *LayerTrace, sc *layerScratch, kc tensor.KernelChain) []tensor.Vector {
 	nCells := len(xs)
 	h := l.Hidden
 	pw := l.packedWeights()
@@ -314,7 +314,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 	// United input projections for the whole layer: one weight stream
 	// over W_{z,r,h} (the §II-B counterpart of the LSTM's united
 	// Sgemm(W_{f,i,c,o}, x)). Row t of wx is cell t's [xz|xr|xh].
-	kf.packedGemm(sc.wx, pw.w, xs)
+	kc.PackedGemm(sc.wx, pw.w, xs)
 	wrow := func(t int) (xz, xr, xh tensor.Vector) {
 		row := sc.wx.Row(t)
 		return row[:h], row[h : 2*h], row[2*h:]
@@ -337,7 +337,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 		hs := sc.nextHS()
 		z, rv := sc.zs[0], sc.rs[0]
 		for t := 0; t < nCells; t++ {
-			kf.packedGemv(sc.zr, pw.uzr, st)
+			kc.PackedGemv(sc.zr, pw.uzr, st)
 			xz, xr, xh := wrow(t)
 			for j := 0; j < h; j++ {
 				z[j] = tensor.Sigmoid(xz[j] + sc.uz[j] + l.Bz[j])
@@ -352,7 +352,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 				lt.SkipCounts = append(lt.SkipCounts, skipCount)
 			}
 			tensor.Mul(sc.rh, rv, st)
-			kf.gemvRows(sc.uh, l.Uh, sc.rh, skip, 0)
+			kc.GemvRows(sc.uh, l.Uh, sc.rh, skip, 0)
 			hNew := hs[t]
 			for j := 0; j < h; j++ {
 				if skip != nil && skip[j] {
@@ -414,7 +414,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 		zs, rs := sc.zs[:len(tissue)], sc.rs[:len(tissue)]
 		for ci, cell := range tissue {
 			hPrev := states[subOf[cell]]
-			kf.packedGemv(sc.zr, pw.uzr, hPrev)
+			kc.PackedGemv(sc.zr, pw.uzr, hPrev)
 			xz, xr, _ := wrow(cell)
 			z, rv := zs[ci], rs[ci]
 			for j := 0; j < h; j++ {
@@ -435,7 +435,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 		for ci, cell := range tissue {
 			hPrev := states[subOf[cell]]
 			tensor.Mul(sc.rh, rs[ci], hPrev)
-			kf.gemvRows(sc.uh, l.Uh, sc.rh, skip, 0)
+			kc.GemvRows(sc.uh, l.Uh, sc.rh, skip, 0)
 			z := zs[ci]
 			_, _, xh := wrow(cell)
 			hNew := hs[cell]
@@ -515,7 +515,7 @@ func CollectPredictors(n *Network, samples [][]tensor.Vector) []intercell.Predic
 		for li, l := range n.Layers {
 			// Predictors are offline artifacts shared across chains:
 			// always collect them on the canonical chain.
-			hs := n.runLayer(li, l, seq, Baseline(), nil, sc, &canonicalKernels)
+			hs := n.runLayer(li, l, seq, Baseline(), nil, sc, tensor.ChainSSE2)
 			for _, h := range hs {
 				stats[li].Observe(h, zero[li])
 			}

@@ -248,3 +248,28 @@ func TestGRUPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestRunBatchERejectsUndefinedChain: a chain value outside {auto,
+// sse2, avx2} is an error from RunBatchE (the GRU's error-returning
+// entry point; its lockstep and Inter fallback paths both) and a
+// Panicf violation from serial Run — never a silent canonical run.
+func TestRunBatchERejectsUndefinedChain(t *testing.T) {
+	n := testNet(23, 2, 3)
+	xs := seqsFor(24, 5, 1)[0]
+	for name, opt := range map[string]RunOptions{
+		"lockstep": {Chain: tensor.KernelChain(9)},
+		"inter":    {Inter: true, MTS: 3, Predictors: zeroPreds(n), Chain: tensor.KernelChain(9)},
+	} {
+		if _, err := n.RunBatchE([][]tensor.Vector{xs, xs}, opt); err == nil {
+			t.Errorf("%s: RunBatchE no error for an undefined chain", name)
+		}
+	}
+	var err error
+	func() {
+		defer tensor.Guard(&err)
+		n.Run(xs, RunOptions{Chain: tensor.KernelChain(9)})
+	}()
+	if err == nil {
+		t.Error("Run: no Panicf violation for an undefined chain")
+	}
+}

@@ -46,7 +46,7 @@ func (n *Network) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vect
 		lens[i] = len(xs)
 		total += len(xs)
 	}
-	kf := kernelsFor(opt.Chain)
+	kc := tensor.ResolveChain(opt.Chain)
 	sc := newBatchScratch(n.Hidden(), lens)
 
 	// The flat cell list concatenates member sequences in member order;
@@ -57,11 +57,11 @@ func (n *Network) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vect
 	}
 	seq := flat
 	for _, l := range n.Layers {
-		seq = n.runLayerBatch(l, seq, opt, sc, kf)
+		seq = n.runLayerBatch(l, seq, opt, sc, kc)
 	}
 	out := make([]tensor.Vector, len(seqs))
 	for i := range seqs {
-		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], kf)
+		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], kc)
 	}
 	return out
 }
@@ -124,14 +124,14 @@ func (n *Network) runBatchSerial(seqs [][]tensor.Vector, opt RunOptions) []tenso
 		}
 	}
 	sc := newLayerScratch(n.Hidden(), maxLen)
-	kf := kernelsFor(opt.Chain)
+	kc := tensor.ResolveChain(opt.Chain)
 	out := make([]tensor.Vector, len(seqs))
 	for i, xs := range seqs {
 		seq := xs
 		for li, l := range n.Layers {
-			seq = n.runLayer(li, l, seq, opt, nil, sc, kf)
+			seq = n.runLayer(li, l, seq, opt, nil, sc, kc)
 		}
-		out[i] = n.headLogits(seq[len(seq)-1], kf)
+		out[i] = n.headLogits(seq[len(seq)-1], kc)
 	}
 	return out
 }
@@ -286,7 +286,7 @@ func (sc *batchScratch) ficView(rows int) *tensor.Matrix {
 // two batched united GEMMs (U_o, then U_{f,i,c} under the per-member
 // DRS masks), and the element-wise state update walks each member with
 // exactly the serial flow's expressions.
-func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc *batchScratch, kf *kernelFns) []tensor.Vector {
+func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc *batchScratch, kc tensor.KernelChain) []tensor.Vector {
 	h := l.Hidden
 	pw := l.packedWeights()
 	sc.reset(h, sc.lens)
@@ -294,7 +294,7 @@ func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc
 	// Step 2 of Algorithm 1 across the whole batch: every cell of every
 	// member is ready up-front, so one united packed GEMM streams
 	// W_{f,i,c,o} once for all of them.
-	kf.packedGemm(sc.wx, pw.w, xs)
+	kc.PackedGemm(sc.wx, pw.w, xs)
 
 	for i := range sc.lens {
 		st := sc.state(i)
@@ -325,7 +325,7 @@ func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc
 		// o_t first (Algorithm 3 lines 4-6), batched: U_o streams once
 		// for the whole active set.
 		uoB := sc.uoView(len(act))
-		kf.packedGemmRows(uoB, pw.uo, g, nil, 0)
+		kc.PackedGemmRows(uoB, pw.uo, g, nil, 0)
 		for k, i := range act {
 			row := sc.wx.Row(sc.offs[i] + t)
 			xo := row[3*h:]
@@ -350,7 +350,7 @@ func (n *Network) runLayerBatch(l *Layer, xs []tensor.Vector, opt RunOptions, sc
 		// The united U_{f,i,c} block for the active set under the masks:
 		// each weight row streams once and is skipped per member.
 		ficB := sc.ficView(len(act))
-		kf.packedGemmRows(ficB, pw.ufic, g, skips, 0)
+		kc.PackedGemmRows(ficB, pw.ufic, g, skips, 0)
 
 		// Element-wise state update per member — stepFIC's expressions.
 		for k, i := range act {

@@ -150,7 +150,7 @@ func runLayerExact(n *Network, l *Layer, xs []tensor.Vector) []tensor.Vector {
 		for j := 0; j < h; j++ {
 			o[j] = n.Gate.Apply(xo[j] + sc.uo[j] + l.Bo[j])
 		}
-		n.stepFIC(l, pw, st, xf, xi, xc, o, nil, sc, &canonicalKernels)
+		n.stepFIC(l, pw, st, xf, xi, xc, o, nil, sc, tensor.ChainSSE2)
 		hs[t] = hsBuf[t*h : (t+1)*h]
 		copy(hs[t], st.h)
 	}

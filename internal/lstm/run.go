@@ -35,7 +35,12 @@ type RunOptions struct {
 	// ChainAVX2 opts this run into the wide FMA fast mode: logits keep
 	// the same determinism guarantees within the wide chain
 	// (Run≡RunBatch, any GOMAXPROCS) but drift a few ULP from the
-	// canonical chain's bits (see EXPERIMENTS.md).
+	// canonical chain's bits (see EXPERIMENTS.md). A run resolves the
+	// chain once and passes it down to every kernel, so the two chains
+	// never mix within one forward pass; calibration and predictor
+	// collection always run the canonical chain (offline artifacts are
+	// shared across chains). A value outside {ChainAuto, ChainSSE2,
+	// ChainAVX2} fails the run (an error from RunE/RunBatchE).
 	Chain tensor.KernelChain
 
 	// Trace, when non-nil, collects the structural decisions of the run
@@ -106,7 +111,7 @@ func (n *Network) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 			tensor.Panicf("lstm: %d predictors for %d layers", len(opt.Predictors), len(n.Layers))
 		}
 	}
-	kf := kernelsFor(opt.Chain)
+	kc := tensor.ResolveChain(opt.Chain)
 	sc := newLayerScratch(n.Hidden(), len(xs))
 	seq := xs
 	for li, l := range n.Layers {
@@ -115,16 +120,16 @@ func (n *Network) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(seq)})
 			lt = &opt.Trace.Layers[len(opt.Trace.Layers)-1]
 		}
-		seq = n.runLayer(li, l, seq, opt, lt, sc, kf)
+		seq = n.runLayer(li, l, seq, opt, lt, sc, kc)
 	}
-	return n.headLogits(seq[len(seq)-1], kf)
+	return n.headLogits(seq[len(seq)-1], kc)
 }
 
 // headLogits applies the linear head to a final hidden state, returning
 // freshly allocated logits (never an arena view).
-func (n *Network) headLogits(last tensor.Vector, kf *kernelFns) tensor.Vector {
+func (n *Network) headLogits(last tensor.Vector, kc tensor.KernelChain) tensor.Vector {
 	logits := tensor.NewVector(n.Head.Rows)
-	kf.gemv(logits, n.Head, last)
+	kc.Gemv(logits, n.Head, last)
 	tensor.Add(logits, logits, n.HeadBias)
 	return logits
 }
@@ -276,7 +281,7 @@ type cellState struct {
 	h, c tensor.Vector
 }
 
-func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions, lt *LayerTrace, sc *layerScratch, kf *kernelFns) []tensor.Vector {
+func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions, lt *LayerTrace, sc *layerScratch, kc tensor.KernelChain) []tensor.Vector {
 	nCells := len(xs)
 	h := l.Hidden
 	pw := l.packedWeights()
@@ -286,7 +291,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 	// united packed GEMM — all layer inputs are ready up-front on mobile
 	// GPUs (§II-C), so the whole layer's input projections are a single
 	// weight stream. Row t of wx holds cell t's united pre-activation.
-	kf.packedGemm(sc.wx, pw.w, xs)
+	kc.PackedGemm(sc.wx, pw.w, xs)
 	wrow := func(t int) (xf, xi, xc, xo tensor.Vector) {
 		row := sc.wx.Row(t)
 		return row[:h], row[h : 2*h], row[2*h : 3*h], row[3*h:]
@@ -309,7 +314,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 		o := sc.os[0]
 		for t := 0; t < nCells; t++ {
 			xf, xi, xc, xo := wrow(t)
-			kf.gemv(sc.uo, pw.uo, st.h)
+			kc.Gemv(sc.uo, pw.uo, st.h)
 			for j := 0; j < h; j++ {
 				o[j] = n.Gate.Apply(xo[j] + sc.uo[j] + l.Bo[j])
 			}
@@ -321,7 +326,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 			if lt != nil && opt.Intra {
 				lt.SkipCounts = append(lt.SkipCounts, skipCount)
 			}
-			n.stepFIC(l, pw, st, xf, xi, xc, o, skip, sc, kf)
+			n.stepFIC(l, pw, st, xf, xi, xc, o, skip, sc, kc)
 			copy(hs[t], st.h)
 		}
 		return hs
@@ -385,7 +390,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 		for oi, cell := range tissue {
 			st := &states[subOf[cell]]
 			_, _, _, xo := wrow(cell)
-			kf.gemv(sc.uo, pw.uo, st.h)
+			kc.Gemv(sc.uo, pw.uo, st.h)
 			o := os[oi]
 			for j := 0; j < h; j++ {
 				o[j] = n.Gate.Apply(xo[j] + sc.uo[j] + l.Bo[j])
@@ -404,7 +409,7 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 		for ci, cell := range tissue {
 			st := &states[subOf[cell]]
 			xf, xi, xc, _ := wrow(cell)
-			n.stepFIC(l, pw, st, xf, xi, xc, os[ci], skip, sc, kf)
+			n.stepFIC(l, pw, st, xf, xi, xc, os[ci], skip, sc, kc)
 			copy(hs[cell], st.h)
 		}
 	}
@@ -417,9 +422,9 @@ func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions,
 // three recurrent products are one united pass over the U_{f,i,c} block
 // of the packed matrix — the recurrent input streams once across all
 // three gates, and the skip mask disables a row in all of them at once.
-func (n *Network) stepFIC(l *Layer, pw *packedWeights, st *cellState, xf, xi, xc, o tensor.Vector, skip []bool, s *layerScratch, kf *kernelFns) {
+func (n *Network) stepFIC(l *Layer, pw *packedWeights, st *cellState, xf, xi, xc, o tensor.Vector, skip []bool, s *layerScratch, kc tensor.KernelChain) {
 	h := l.Hidden
-	kf.packedGemvRows(s.fic, pw.ufic, st.h, skip, 0)
+	kc.PackedGemvRows(s.fic, pw.ufic, st.h, skip, 0)
 	for j := 0; j < h; j++ {
 		if skip != nil && skip[j] {
 			st.c[j] = 0
@@ -480,7 +485,7 @@ func observeLayer(n *Network, l *Layer, xs []tensor.Vector, ls *intercell.LinkSt
 		for j := 0; j < h; j++ {
 			o[j] = n.Gate.Apply(xo[j] + sc.uo[j] + l.Bo[j])
 		}
-		n.stepFIC(l, pw, st, xf, xi, xc, o, nil, sc, &canonicalKernels)
+		n.stepFIC(l, pw, st, xf, xi, xc, o, nil, sc, tensor.ChainSSE2)
 		copy(hs[t], st.h)
 		ls.Observe(st.h, st.c)
 	}

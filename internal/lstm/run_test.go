@@ -225,6 +225,25 @@ func TestRunEErrors(t *testing.T) {
 	}
 }
 
+// TestRunERejectsUndefinedChain: a chain value outside {auto, sse2,
+// avx2} is an error on every serving-path entry point — serial, batched
+// lockstep, and the Inter batch fallback — never a silent canonical run.
+func TestRunERejectsUndefinedChain(t *testing.T) {
+	n := testNet(t, 8, 8, 2, 3, 33)
+	xs := testSeqs(rng.New(34), 8, 6, 1)[0]
+	bad := RunOptions{Chain: tensor.KernelChain(9)}
+	if _, err := n.RunE(xs, bad); err == nil {
+		t.Error("RunE: no error for an undefined chain")
+	}
+	if _, err := n.RunBatchE([][]tensor.Vector{xs, xs}, bad); err == nil {
+		t.Error("RunBatchE: no error for an undefined chain")
+	}
+	inter := RunOptions{Inter: true, MTS: 4, Predictors: zeroPredictors(n), Chain: tensor.KernelChain(9)}
+	if _, err := n.RunBatchE([][]tensor.Vector{xs}, inter); err == nil {
+		t.Error("RunBatchE (Inter): no error for an undefined chain")
+	}
+}
+
 // TestGuardPassesForeignPanics: tensor.Guard only converts the typed
 // Panicf violation; any other panic keeps propagating.
 func TestGuardPassesForeignPanics(t *testing.T) {

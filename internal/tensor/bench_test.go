@@ -93,9 +93,9 @@ func BenchmarkPackedGemm(b *testing.B) {
 	}
 }
 
-// BenchmarkWidePackedGemv / BenchmarkWidePackedGemm are the wide-chain
-// twins of the canonical packed benchmarks: same shapes, AVX2/FMA
-// 32-lane chain. The canonical names stay unsuffixed so the
+// BenchmarkWidePackedGemv / BenchmarkWidePackedGemm run the canonical
+// packed benchmarks' shapes on the wide chain (ChainAVX2: the AVX2/FMA
+// 32-lane chain). The canonical names stay unsuffixed so the
 // BENCH_hotpath.json trajectory is uninterrupted; the Wide entries add
 // the fast-mode points alongside.
 func BenchmarkWidePackedGemv(b *testing.B) {
@@ -106,7 +106,7 @@ func BenchmarkWidePackedGemv(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WidePackedGemv(dsts, united, x)
+		ChainAVX2.PackedGemv(dsts, united, x)
 	}
 }
 
@@ -123,7 +123,7 @@ func BenchmarkWidePackedGemm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WidePackedGemm(dst, united, xs)
+		ChainAVX2.PackedGemm(dst, united, xs)
 	}
 }
 

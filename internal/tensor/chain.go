@@ -15,29 +15,26 @@ import (
 //   - the wide 32-lane FMA chain (kernel_wide.go's dotRowWideGeneric,
 //     carried by the AVX2+FMA body in dot_avx2_amd64.s) — an explicit
 //     fast mode with its own determinism contract (wide-vs-wide bitwise
-//     equality at any GOMAXPROCS and any batch B), reachable only
-//     through the Wide* kernels.
+//     equality at any GOMAXPROCS and any batch B).
 //
-// A KernelChain names one of them. SetKernelChain moves the process
+// A KernelChain names one of them, and is itself the kernel family:
+// the GEMV/GEMM kernels are methods on it (c.Gemv, c.PackedGemmRows,
+// …), each with one body that picks the chain's row kernel once per
+// call (rowDot). The package-level Gemv, PackedGemm, … are the same
+// bodies pinned to ChainSSE2. SetKernelChain moves the process
 // default; per-call-site selection (lstm/gru RunOptions.Chain,
 // serve.Config.Chain) resolves through ResolveChain so ChainAuto
-// follows the process default. Forcing ChainGeneric additionally pins
-// both chains to their pure-Go bodies, which is how CI exercises the
-// reference twins on any runner CPU.
+// follows the process default.
 
-// KernelChain selects which accumulation chain the dispatching kernels
-// run. The zero value is ChainAuto.
+// KernelChain selects which accumulation chain the kernels run. The
+// zero value is ChainAuto.
 type KernelChain uint32
 
 const (
 	// ChainAuto defers to the process default (ActiveKernelChain).
 	ChainAuto KernelChain = iota
-	// ChainGeneric is the canonical 16-lane chain through its pure-Go
-	// body, with assembly disabled for the wide chain too — the
-	// any-CPU reference configuration.
-	ChainGeneric
 	// ChainSSE2 is the canonical 16-lane chain through the SSE2 body
-	// (bitwise identical to ChainGeneric; pure-Go off amd64).
+	// (the pure-Go definition off amd64).
 	ChainSSE2
 	// ChainAVX2 is the wide 32-lane FMA chain: the AVX2+FMA body when
 	// the CPU supports it, the pure-Go wide twin otherwise.
@@ -50,8 +47,6 @@ func (c KernelChain) String() string {
 	switch c {
 	case ChainAuto:
 		return "auto"
-	case ChainGeneric:
-		return "generic"
 	case ChainSSE2:
 		return "sse2"
 	case ChainAVX2:
@@ -60,15 +55,13 @@ func (c KernelChain) String() string {
 	return "unknown"
 }
 
-// ParseKernelChain maps a chain name ("auto", "generic", "sse2",
-// "avx2") to its KernelChain. The second result is false for anything
-// else, including the empty string.
+// ParseKernelChain maps a chain name ("auto", "sse2", "avx2") to its
+// KernelChain. The second result is false for anything else, including
+// the empty string.
 func ParseKernelChain(s string) (KernelChain, bool) {
 	switch s {
 	case "auto":
 		return ChainAuto, true
-	case "generic":
-		return ChainGeneric, true
 	case "sse2":
 		return ChainSSE2, true
 	case "avx2":
@@ -84,8 +77,8 @@ func ParseKernelChain(s string) (KernelChain, bool) {
 const KernelChainEnv = "MOBILSTM_KERNEL_CHAIN"
 
 // activeChain holds the resolved process-default chain — never
-// ChainAuto. Reads are a single atomic load on the dot dispatch path,
-// which x86 serves as a plain MOV.
+// ChainAuto and never an undefined value. Reads are a single atomic
+// load, which x86 serves as a plain MOV.
 var activeChain atomic.Uint32
 
 func init() {
@@ -101,17 +94,16 @@ func chainFromEnv(v string) KernelChain {
 	if forced, ok := ParseKernelChain(v); ok && forced != ChainAuto {
 		return forced
 	}
-	return ChainSSE2 // resolves to the pure-Go canonical body off amd64
+	return ChainSSE2
 }
 
 // SetKernelChain sets the process-default chain and returns the
 // effective selection: ChainAuto restores the canonical default
-// (ChainSSE2), everything else sticks as asked — including ChainAVX2 on
-// a CPU without AVX2, where the wide chain simply runs through its
-// pure-Go twin (see dotRowWide). The default is consulted wherever a
-// caller passes ChainAuto; call sites that pinned an explicit chain are
-// unaffected, except that ChainGeneric also forces the assembly bodies
-// off process-wide (the reference configuration is all-Go).
+// (ChainSSE2), ChainSSE2 and ChainAVX2 stick as asked — including
+// ChainAVX2 on a CPU without AVX2, where the wide chain simply runs
+// through its pure-Go twin (see dotRowWide). Any other value panics.
+// The default is consulted wherever a caller passes ChainAuto; call
+// sites that pinned an explicit chain are unaffected.
 //
 // The switch is atomic but not synchronized against in-flight kernels;
 // set it at startup or between runs, as the serve engine builder and
@@ -120,6 +112,7 @@ func SetKernelChain(c KernelChain) KernelChain {
 	if c == ChainAuto {
 		c = ChainSSE2
 	}
+	c.rowDot() // panics on an undefined chain before the default moves
 	activeChain.Store(uint32(c))
 	return c
 }
@@ -131,7 +124,8 @@ func ActiveKernelChain() KernelChain {
 
 // ResolveChain maps ChainAuto to the process default and returns every
 // other selection unchanged. lstm/gru resolve RunOptions.Chain through
-// this exactly once per Run/RunBatch call.
+// this exactly once per Run/RunBatch call; an undefined value passes
+// through and fails at the first kernel call.
 func ResolveChain(c KernelChain) KernelChain {
 	if c == ChainAuto {
 		return ActiveKernelChain()
@@ -139,10 +133,17 @@ func ResolveChain(c KernelChain) KernelChain {
 	return c
 }
 
-// forceGenericBody reports whether assembly bodies are disabled
-// process-wide (the ChainGeneric reference configuration). Both dotRow
-// and dotRowWide consult it, so forced-generic CI runs exercise the
-// pure-Go twins of *both* chains regardless of runner CPU.
-func forceGenericBody() bool {
-	return KernelChain(activeChain.Load()) == ChainGeneric
+// rowDot returns chain c's row kernel — the one choice every kernel
+// body makes, once per call. ChainAuto follows the process default; an
+// undefined chain panics, so RunE-style Guard boundaries report it as an
+// error instead of silently running the canonical chain.
+func (c KernelChain) rowDot() func(row, x []float32) float32 {
+	switch ResolveChain(c) {
+	case ChainSSE2:
+		return dotRow
+	case ChainAVX2:
+		return dotRowWide
+	}
+	Panicf("tensor: undefined kernel chain %d", uint32(c))
+	return nil
 }

@@ -1,30 +1,15 @@
 package tensor
 
-import (
-	"math"
-	"testing"
-
-	"mobilstm/internal/rng"
-)
-
-// withChain runs fn with the process-default chain forced to c,
-// restoring the previous default afterwards.
-func withChain(t *testing.T, c KernelChain, fn func(t *testing.T)) {
-	t.Helper()
-	prev := ActiveKernelChain()
-	SetKernelChain(c)
-	defer SetKernelChain(prev)
-	fn(t)
-}
+import "testing"
 
 func TestKernelChainParseStringRoundTrip(t *testing.T) {
-	for _, c := range []KernelChain{ChainAuto, ChainGeneric, ChainSSE2, ChainAVX2} {
+	for _, c := range []KernelChain{ChainAuto, ChainSSE2, ChainAVX2} {
 		got, ok := ParseKernelChain(c.String())
 		if !ok || got != c {
 			t.Errorf("ParseKernelChain(%q) = %v, %v", c.String(), got, ok)
 		}
 	}
-	for _, bad := range []string{"", "AVX2", "sse", "avx512", "fast"} {
+	for _, bad := range []string{"", "AVX2", "sse", "avx512", "fast", "generic"} {
 		if _, ok := ParseKernelChain(bad); ok {
 			t.Errorf("ParseKernelChain(%q) unexpectedly ok", bad)
 		}
@@ -49,8 +34,8 @@ func TestSetKernelChainResolution(t *testing.T) {
 	if got := ResolveChain(ChainAuto); got != ChainAVX2 {
 		t.Fatalf("ResolveChain(auto) = %v, want the forced default", got)
 	}
-	if got := ResolveChain(ChainGeneric); got != ChainGeneric {
-		t.Fatalf("ResolveChain(generic) = %v, explicit selections must pass through", got)
+	if got := ResolveChain(ChainSSE2); got != ChainSSE2 {
+		t.Fatalf("ResolveChain(sse2) = %v, explicit selections must pass through", got)
 	}
 }
 
@@ -61,7 +46,7 @@ func TestChainFromEnv(t *testing.T) {
 	}{
 		{"", ChainSSE2},
 		{"auto", ChainSSE2},
-		{"generic", ChainGeneric},
+		{"generic", ChainSSE2}, // no longer a chain: ignored
 		{"sse2", ChainSSE2},
 		{"avx2", ChainAVX2},
 		{"AVX2", ChainSSE2},    // case-sensitive: invalid, ignored
@@ -74,59 +59,30 @@ func TestChainFromEnv(t *testing.T) {
 	}
 }
 
-// TestForcedGenericDisablesAssemblyBodies pins the CI reference
-// configuration: under ChainGeneric both dispatchers must produce the
-// pure-Go bodies' bits. The canonical pair is bitwise identical anyway;
-// the real assertion is that the forced path executes and agrees, and
-// that the switch is visible through forceGenericBody on both settings.
-func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
-	r := rng.New(0x91)
-	row := make([]float32, 193)
-	x := make([]float32, 193)
-	for i := range row {
-		row[i] = float32(r.Norm())
-		x[i] = float32(r.Norm())
+// TestUndefinedChainPanics: a chain value outside {auto, sse2, avx2}
+// must fail loudly — at SetKernelChain (leaving the process default
+// untouched) and at any kernel method — instead of silently running the
+// canonical chain.
+func TestUndefinedChainPanics(t *testing.T) {
+	prev := ActiveKernelChain()
+	defer SetKernelChain(prev)
+	m := NewMatrix(2, 3)
+	for name, fn := range map[string]func(){
+		"SetKernelChain": func() { SetKernelChain(KernelChain(7)) },
+		"Gemv":           func() { KernelChain(7).Gemv(NewVector(2), m, NewVector(3)) },
+		"PackedGemm":     func() { KernelChain(9).PackedGemm(NewMatrix(1, 2), m, []Vector{NewVector(3)}) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(violation); !ok {
+					t.Fatalf("%s: undefined chain did not Panicf", name)
+				}
+			}()
+			fn()
+		}()
 	}
-	withChain(t, ChainGeneric, func(t *testing.T) {
-		if !forceGenericBody() {
-			t.Fatal("forceGenericBody() false under ChainGeneric")
-		}
-		if got, want := dotRow(row, x), dotRowGeneric(row, x); math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("forced-generic dotRow %v != dotRowGeneric %v", got, want)
-		}
-		if got, want := dotRowWide(row, x), dotRowWideGeneric(row, x); math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("forced-generic dotRowWide %v != dotRowWideGeneric %v", got, want)
-		}
-	})
-	withChain(t, ChainSSE2, func(t *testing.T) {
-		if forceGenericBody() {
-			t.Fatal("forceGenericBody() true under ChainSSE2")
-		}
-	})
-}
-
-// TestWideChainStableAcrossBodies pins the fallback semantics the CI
-// chain matrix leans on: the wide chain's output is the same bits
-// whether the AVX2 body or the pure-Go twin computes it (pinned
-// corpora), so forcing avx2 on a runner without the hardware exercises
-// the identical contract.
-func TestWideChainStableAcrossBodies(t *testing.T) {
-	r := rng.New(0x92)
-	row := make([]float32, 650)
-	x := make([]float32, 650)
-	for i := range row {
-		row[i] = float32(r.Norm())
-		x[i] = float32(r.Norm())
-	}
-	var viaDispatch, viaGeneric float32
-	withChain(t, ChainAVX2, func(t *testing.T) {
-		viaDispatch = dotRowWide(row, x)
-	})
-	withChain(t, ChainGeneric, func(t *testing.T) {
-		viaGeneric = dotRowWide(row, x)
-	})
-	if math.Float32bits(viaDispatch) != math.Float32bits(viaGeneric) {
-		t.Fatalf("wide chain differs across bodies: %v vs %v", viaDispatch, viaGeneric)
+	if got := ActiveKernelChain(); got != prev {
+		t.Fatalf("rejected SetKernelChain moved the default to %v", got)
 	}
 }
 

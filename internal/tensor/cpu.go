@@ -41,8 +41,12 @@ func (c CPUInfo) String() string {
 	return strings.Join(parts, "+")
 }
 
-// HasAVX2FMA reports whether the AVX2+FMA wide-chain body is usable on
-// this machine. When false, ChainAVX2 still selects the wide chain —
-// it just runs through the pure-Go twin (dotRowWideGeneric), so forced
-// wide-chain CI runs exercise the same contracts on any runner.
+// HasAVX2FMA reports whether the AVX2+FMA body carries the wide chain
+// on this machine. It picks the body, never the chain: when false,
+// ChainAVX2 still runs the wide chain through the pure-Go twin
+// (dotRowWideGeneric), so forced wide-chain CI runs exercise the same
+// contracts on any runner. No setting forces the pure-Go bodies on
+// capable hardware; TestDotRowMatchesGeneric and
+// TestDotAVX2MatchesGeneric pin each assembly body to its Go definition
+// instead.
 func HasAVX2FMA() bool { return hasWideBody }

@@ -2,11 +2,13 @@ package tensor
 
 // The shared inner kernels of the GEMV family. Every kernel in this
 // package — serial, packed, parallel — reduces each output element to
-// exactly one of the accumulation chains below, so results are bitwise
-// identical however rows are blocked, sharded across goroutines, or
-// scattered across united-gate destinations. Do not add a kernel with a
-// different summation order: the equivalence tests (and the lstm/gru
-// bitwise-determinism guarantees) all lean on this invariant.
+// exactly one accumulation chain (this file's canonical chain, or
+// kernel_wide.go's wide chain for the ChainAVX2 kernel methods), so
+// results are bitwise identical however rows are blocked, sharded
+// across goroutines, or scattered across united-gate destinations. Do
+// not add a kernel with a different summation order: the equivalence
+// tests (and the lstm/gru bitwise-determinism guarantees) all lean on
+// this invariant.
 
 // dotRowGeneric is the reference row kernel and the definition of the
 // canonical accumulation chain: sixteen partial sums over the
@@ -57,13 +59,14 @@ func dotRowGeneric(row, x []float32) float32 {
 
 // gemvSpan computes dst[i] = row(row0+i) · x for every i in
 // [0, len(dst)) — the shared row-range body of Gemv, ParallelGemv, and
-// the packed kernels. Every row is one dotRow chain, so shard and
-// segment boundaries never change a single output bit.
-func gemvSpan(dst Vector, m *Matrix, x Vector, row0 int) {
+// the packed kernels. Every row is one call of the chain's row kernel
+// dot (dotRow or dotRowWide), so shard and segment boundaries never
+// change a single output bit.
+func gemvSpan(dot func(row, x []float32) float32, dst Vector, m *Matrix, x Vector, row0 int) {
 	n := m.Cols
 	for i := range dst {
 		r := row0 + i
-		dst[i] = dotRow(m.Data[r*n:r*n+n], x)
+		dst[i] = dot(m.Data[r*n:r*n+n], x)
 	}
 }
 

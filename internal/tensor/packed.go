@@ -7,7 +7,11 @@ package tensor
 // kernels below are the host-side float32 counterparts of the
 // Sgemv/Sgemm united kernels the GPU model replays: one weight stream,
 // multiple gate outputs, bitwise identical to the per-gate serial calls
-// (every output element is one dotRow chain; see kernel.go).
+// (every output element is one row-kernel chain; see kernel.go).
+//
+// Each kernel has one body, a KernelChain method that picks the chain's
+// row kernel once per call (rowDot); the package-level function of the
+// same name forwards to it on the canonical chain (ChainSSE2).
 
 // Pack returns the row-wise concatenation of ms — the united matrix.
 // All inputs must share a column count; the result owns fresh storage,
@@ -58,16 +62,33 @@ func packedRows(name string, dsts []Vector, m *Matrix, x Vector) int {
 	return rows
 }
 
-// PackedGemv computes the united product m · x and scatters the result
-// into the per-gate destinations: dsts[0] receives the first len(dsts[0])
-// rows, dsts[1] the next block, and so on. It is bitwise identical to
-// one serial Gemv per row block — the input vector is simply streamed
-// once over the united matrix instead of once per gate.
-func PackedGemv(dsts []Vector, m *Matrix, x Vector) {
+// PackedGemv is ChainSSE2.PackedGemv.
+func PackedGemv(dsts []Vector, m *Matrix, x Vector) { ChainSSE2.PackedGemv(dsts, m, x) }
+
+// PackedGemvRows is ChainSSE2.PackedGemvRows.
+func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+	ChainSSE2.PackedGemvRows(dsts, m, x, skip, fill)
+}
+
+// PackedGemmRows is ChainSSE2.PackedGemmRows.
+func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
+	ChainSSE2.PackedGemmRows(dst, m, xs, skips, fill)
+}
+
+// PackedGemm is ChainSSE2.PackedGemm.
+func PackedGemm(dst *Matrix, m *Matrix, xs []Vector) { ChainSSE2.PackedGemm(dst, m, xs) }
+
+// PackedGemv computes the united product m · x through chain c and
+// scatters the result into the per-gate destinations: dsts[0] receives
+// the first len(dsts[0]) rows, dsts[1] the next block, and so on. It is
+// bitwise identical to one c.Gemv per row block — the input vector is
+// simply streamed once over the united matrix instead of once per gate.
+func (c KernelChain) PackedGemv(dsts []Vector, m *Matrix, x Vector) {
 	packedRows("PackedGemv", dsts, m, x)
+	dot := c.rowDot()
 	off := 0
 	for _, d := range dsts {
-		gemvSpan(d, m, x, off)
+		gemvSpan(dot, d, m, x, off)
 		off += len(d)
 	}
 }
@@ -79,7 +100,7 @@ func PackedGemv(dsts []Vector, m *Matrix, x Vector) {
 // Sgemv(U_{f,i,c}, h, R) kernel with trivial rows disabled: one skip
 // decision covers the row in all gates, exactly as Algorithm 3 shares
 // o_t's triviality across U_f, U_i, U_c. A nil skip computes every row.
-func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+func (c KernelChain) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	packedRows("PackedGemvRows", dsts, m, x)
 	if len(dsts) == 0 {
 		return
@@ -91,12 +112,13 @@ func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float3
 		}
 	}
 	if skip == nil {
-		PackedGemv(dsts, m, x)
+		c.PackedGemv(dsts, m, x)
 		return
 	}
 	if len(skip) != seg {
 		Panicf("tensor: PackedGemvRows skip length %d, segment %d", len(skip), seg)
 	}
+	dot := c.rowDot()
 	n := m.Cols
 	for k, d := range dsts {
 		base := k * seg
@@ -106,7 +128,7 @@ func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float3
 				continue
 			}
 			r := base + i
-			d[i] = dotRow(m.Data[r*n:r*n+n], x)
+			d[i] = dot(m.Data[r*n:r*n+n], x)
 		}
 	}
 }
@@ -125,10 +147,10 @@ func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float3
 // touched — the Appleyard-style GEMV→GEMM conversion that amortizes
 // weight traffic over the batch, which is why the fork-join shards the
 // weight rows (tall: 4h/3h/2h) rather than the batch (wide but short).
-// Every output element is the same dotRow chain as the serial
+// Every output element is the same row-kernel chain as the serial
 // per-member call, so the result is bitwise identical to len(xs)
-// independent Gemv/PackedGemvRows calls at any GOMAXPROCS.
-func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
+// independent c.Gemv/c.PackedGemvRows calls at any GOMAXPROCS.
+func (c KernelChain) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemmRows shape mismatch: dst %dx%d, m %dx%d, %d inputs",
 			dst.Rows, dst.Cols, m.Rows, m.Cols, len(xs))
@@ -149,6 +171,7 @@ func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill fl
 			}
 		}
 	}
+	dot := c.rowDot()
 	n := m.Cols
 	forkJoin(m.Rows, m.Rows*n*len(xs), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
@@ -161,7 +184,7 @@ func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill fl
 						continue
 					}
 				}
-				out[b*dst.Cols] = dotRow(wrow, x)
+				out[b*dst.Cols] = dot(wrow, x)
 			}
 		}
 	})
@@ -173,8 +196,8 @@ func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill fl
 // matrix whose row t is the united gate pre-activation of cell t. Large
 // shapes fan the independent t rows out over the parallel worker shards
 // (see parallel.go); each row is one gemvSpan, so the result is bitwise
-// identical to len(xs) serial Gemv calls at any GOMAXPROCS.
-func PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
+// identical to len(xs) serial c.Gemv calls at any GOMAXPROCS.
+func (c KernelChain) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemm shape mismatch: dst %dx%d, m %dx%d, %d inputs",
 			dst.Rows, dst.Cols, m.Rows, m.Cols, len(xs))
@@ -184,9 +207,10 @@ func PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 			Panicf("tensor: PackedGemm input length %d, m cols %d", len(x), m.Cols)
 		}
 	}
+	dot := c.rowDot()
 	forkJoin(len(xs), len(xs)*m.Rows*m.Cols, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			gemvSpan(dst.Row(t), m, xs[t], 0)
+			gemvSpan(dot, dst.Row(t), m, xs[t], 0)
 		}
 	})
 }

@@ -12,7 +12,41 @@ import (
 // parallel results must be BITWISE identical to the serial per-gate
 // calls — not merely close. The lstm/gru hot paths route every shape
 // through these kernels, so one flipped bit here would silently change
-// every accuracy table downstream.
+// every accuracy table downstream. The contract holds per chain: every
+// kernel method runs once per entry of chainDots and is held to that
+// chain's own row kernel. Wide-vs-canonical equality is deliberately
+// NOT asserted anywhere: the chains differ by design (see
+// TestDotRowWideFusesProducts).
+
+// chainDots maps each concrete chain to the row kernel that defines
+// its bits — the per-row reference its kernel methods are held to.
+var chainDots = map[KernelChain]func(row, x []float32) float32{
+	ChainSSE2: dotRow,
+	ChainAVX2: dotRowWide,
+}
+
+// forEachChain runs fn as one subtest per concrete chain, in a fixed
+// order so the seeded inputs are the same on every run.
+func forEachChain(t *testing.T, fn func(t *testing.T, c KernelChain, dot func(row, x []float32) float32)) {
+	for _, c := range []KernelChain{ChainSSE2, ChainAVX2} {
+		t.Run(c.String(), func(t *testing.T) { fn(t, c, chainDots[c]) })
+	}
+}
+
+// rowRef computes m·x one row at a time through dot, with rows where
+// skip[i] is true set to fill (skip may be nil).
+func rowRef(dot func(row, x []float32) float32, m *Matrix, x Vector, skip []bool, fill float32) Vector {
+	dst := NewVector(m.Rows)
+	n := m.Cols
+	for i := range dst {
+		if skip != nil && skip[i] {
+			dst[i] = fill
+			continue
+		}
+		dst[i] = dot(m.Data[i*n:i*n+n], x)
+	}
+	return dst
+}
 
 // atGOMAXPROCS runs fn at each of the given GOMAXPROCS settings,
 // restoring the original value afterwards. Oversubscription (more Ps
@@ -40,110 +74,132 @@ var packedShapes = []struct{ seg, cols, gates int }{
 }
 
 func TestPackedGemvBitwiseEqualsPerGateGemv(t *testing.T) {
-	r := rng.New(0x41)
-	for _, sh := range packedShapes {
-		gates := make([]*Matrix, sh.gates)
-		for g := range gates {
-			gates[g] = randMatrix(r, sh.seg, sh.cols)
-		}
-		united := Pack(gates...)
-		x := randVector(r, sh.cols)
+	forEachChain(t, func(t *testing.T, c KernelChain, dot func(row, x []float32) float32) {
+		r := rng.New(0x41)
+		for _, sh := range packedShapes {
+			gates := make([]*Matrix, sh.gates)
+			for g := range gates {
+				gates[g] = randMatrix(r, sh.seg, sh.cols)
+			}
+			united := Pack(gates...)
+			x := randVector(r, sh.cols)
 
-		dsts := make([]Vector, sh.gates)
-		want := make([]Vector, sh.gates)
-		for g := range dsts {
-			dsts[g] = NewVector(sh.seg)
-			want[g] = NewVector(sh.seg)
-			Gemv(want[g], gates[g], x)
-		}
-		PackedGemv(dsts, united, x)
-		for g := range dsts {
-			for i := range dsts[g] {
-				if dsts[g][i] != want[g][i] {
-					t.Fatalf("shape %v gate %d row %d: packed %v != serial %v",
-						sh, g, i, dsts[g][i], want[g][i])
+			dsts := make([]Vector, sh.gates)
+			want := make([]Vector, sh.gates)
+			for g := range dsts {
+				dsts[g] = NewVector(sh.seg)
+				want[g] = NewVector(sh.seg)
+				c.Gemv(want[g], gates[g], x)
+				ref := rowRef(dot, gates[g], x, nil, 0)
+				for i := range ref {
+					if want[g][i] != ref[i] {
+						t.Fatalf("shape %v gate %d row %d: Gemv %v != per-row %v",
+							sh, g, i, want[g][i], ref[i])
+					}
+				}
+			}
+			c.PackedGemv(dsts, united, x)
+			for g := range dsts {
+				for i := range dsts[g] {
+					if dsts[g][i] != want[g][i] {
+						t.Fatalf("shape %v gate %d row %d: packed %v != serial %v",
+							sh, g, i, dsts[g][i], want[g][i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackedGemvRowsBitwiseEqualsGemvRows(t *testing.T) {
-	r := rng.New(0x42)
-	for _, sh := range packedShapes {
-		gates := make([]*Matrix, sh.gates)
-		for g := range gates {
-			gates[g] = randMatrix(r, sh.seg, sh.cols)
-		}
-		united := Pack(gates...)
-		x := randVector(r, sh.cols)
-		skip := make([]bool, sh.seg)
-		for i := range skip {
-			skip[i] = r.Bernoulli(0.4)
-		}
-		const fill = -7.5
+	forEachChain(t, func(t *testing.T, c KernelChain, dot func(row, x []float32) float32) {
+		r := rng.New(0x42)
+		for _, sh := range packedShapes {
+			gates := make([]*Matrix, sh.gates)
+			for g := range gates {
+				gates[g] = randMatrix(r, sh.seg, sh.cols)
+			}
+			united := Pack(gates...)
+			x := randVector(r, sh.cols)
+			skip := make([]bool, sh.seg)
+			for i := range skip {
+				skip[i] = r.Bernoulli(0.4)
+			}
+			const fill = -7.5
 
-		dsts := make([]Vector, sh.gates)
-		want := make([]Vector, sh.gates)
-		for g := range dsts {
-			dsts[g] = NewVector(sh.seg)
-			want[g] = NewVector(sh.seg)
-			GemvRows(want[g], gates[g], x, skip, fill)
-		}
-		PackedGemvRows(dsts, united, x, skip, fill)
-		for g := range dsts {
-			for i := range dsts[g] {
-				if dsts[g][i] != want[g][i] {
-					t.Fatalf("shape %v gate %d row %d: packed %v != serial %v",
-						sh, g, i, dsts[g][i], want[g][i])
+			dsts := make([]Vector, sh.gates)
+			want := make([]Vector, sh.gates)
+			for g := range dsts {
+				dsts[g] = NewVector(sh.seg)
+				want[g] = NewVector(sh.seg)
+				c.GemvRows(want[g], gates[g], x, skip, fill)
+				ref := rowRef(dot, gates[g], x, skip, fill)
+				for i := range ref {
+					if want[g][i] != ref[i] {
+						t.Fatalf("shape %v gate %d row %d: GemvRows %v != per-row %v",
+							sh, g, i, want[g][i], ref[i])
+					}
+				}
+			}
+			c.PackedGemvRows(dsts, united, x, skip, fill)
+			for g := range dsts {
+				for i := range dsts[g] {
+					if dsts[g][i] != want[g][i] {
+						t.Fatalf("shape %v gate %d row %d: packed %v != serial %v",
+							sh, g, i, dsts[g][i], want[g][i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackedGemvRowsNilSkipEqualsPackedGemv(t *testing.T) {
-	r := rng.New(0x43)
-	m := randMatrix(r, 3*7, 11)
-	x := randVector(r, 11)
-	a := []Vector{NewVector(7), NewVector(7), NewVector(7)}
-	b := []Vector{NewVector(7), NewVector(7), NewVector(7)}
-	PackedGemv(a, m, x)
-	PackedGemvRows(b, m, x, nil, 0)
-	for g := range a {
-		for i := range a[g] {
-			if a[g][i] != b[g][i] {
-				t.Fatalf("gate %d row %d: %v != %v", g, i, a[g][i], b[g][i])
-			}
-		}
-	}
-}
-
-func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
-	r := rng.New(0x44)
-	// Big enough to cross the parallel gate, odd enough to stress the
-	// shard remainders.
-	const rows, cols, inputs = 133, 67, 29
-	m := randMatrix(r, rows, cols)
-	xs := make([]Vector, inputs)
-	want := make([]Vector, inputs)
-	for t2 := range xs {
-		xs[t2] = randVector(r, cols)
-		want[t2] = NewVector(rows)
-		Gemv(want[t2], m, xs[t2])
-	}
-	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-		dst := NewMatrix(inputs, rows)
-		PackedGemm(dst, m, xs)
-		for t2 := range xs {
-			row := dst.Row(t2)
-			for i := range row {
-				if row[i] != want[t2][i] {
-					t.Fatalf("GOMAXPROCS %d input %d row %d: %v != %v",
-						runtime.GOMAXPROCS(0), t2, i, row[i], want[t2][i])
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		r := rng.New(0x43)
+		m := randMatrix(r, 3*7, 11)
+		x := randVector(r, 11)
+		a := []Vector{NewVector(7), NewVector(7), NewVector(7)}
+		b := []Vector{NewVector(7), NewVector(7), NewVector(7)}
+		c.PackedGemv(a, m, x)
+		c.PackedGemvRows(b, m, x, nil, 0)
+		for g := range a {
+			for i := range a[g] {
+				if a[g][i] != b[g][i] {
+					t.Fatalf("gate %d row %d: %v != %v", g, i, a[g][i], b[g][i])
 				}
 			}
 		}
+	})
+}
+
+func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		r := rng.New(0x44)
+		// Big enough to cross the parallel gate, odd enough to stress the
+		// shard remainders.
+		const rows, cols, inputs = 133, 67, 29
+		m := randMatrix(r, rows, cols)
+		xs := make([]Vector, inputs)
+		want := make([]Vector, inputs)
+		for t2 := range xs {
+			xs[t2] = randVector(r, cols)
+			want[t2] = NewVector(rows)
+			c.Gemv(want[t2], m, xs[t2])
+		}
+		atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
+			dst := NewMatrix(inputs, rows)
+			c.PackedGemm(dst, m, xs)
+			for t2 := range xs {
+				row := dst.Row(t2)
+				for i := range row {
+					if row[i] != want[t2][i] {
+						t.Fatalf("GOMAXPROCS %d input %d row %d: %v != %v",
+							runtime.GOMAXPROCS(0), t2, i, row[i], want[t2][i])
+					}
+				}
+			}
+		})
 	})
 }
 
@@ -153,91 +209,103 @@ func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
 // dotRow chains, same fill on masked rows — however the row-outer
 // fork-join shards the united weight rows.
 func TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS(t *testing.T) {
-	r := rng.New(0x48)
-	for _, sh := range packedShapes {
-		rows := sh.seg * sh.gates
-		m := randMatrix(r, rows, sh.cols)
-		const members = 5
-		xs := make([]Vector, members)
-		skips := make([][]bool, members)
-		for b := range xs {
-			xs[b] = randVector(r, sh.cols)
-			if b%2 == 1 { // odd members skip, even compute every row
-				mask := make([]bool, sh.seg)
-				for i := range mask {
-					mask[i] = r.Bernoulli(0.4)
-				}
-				skips[b] = mask
-			}
-		}
-		const fill = -3.25
-
-		want := make([]Vector, members)
-		for b := range want {
-			want[b] = NewVector(rows)
-			segs := make([]Vector, sh.gates)
-			for g := range segs {
-				segs[g] = want[b][g*sh.seg : (g+1)*sh.seg]
-			}
-			PackedGemvRows(segs, m, xs[b], skips[b], fill)
-		}
-		atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-			dst := NewMatrix(members, rows)
-			PackedGemmRows(dst, m, xs, skips, fill)
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		r := rng.New(0x48)
+		for _, sh := range packedShapes {
+			rows := sh.seg * sh.gates
+			m := randMatrix(r, rows, sh.cols)
+			const members = 5
+			xs := make([]Vector, members)
+			skips := make([][]bool, members)
 			for b := range xs {
-				row := dst.Row(b)
-				for i := range row {
-					if row[i] != want[b][i] {
-						t.Fatalf("GOMAXPROCS %d shape %v member %d row %d: batched %v != serial %v",
-							runtime.GOMAXPROCS(0), sh, b, i, row[i], want[b][i])
+				xs[b] = randVector(r, sh.cols)
+				if b%2 == 1 { // odd members skip, even compute every row
+					mask := make([]bool, sh.seg)
+					for i := range mask {
+						mask[i] = r.Bernoulli(0.4)
+					}
+					skips[b] = mask
+				}
+			}
+			const fill = -3.25
+
+			want := make([]Vector, members)
+			for b := range want {
+				want[b] = NewVector(rows)
+				segs := make([]Vector, sh.gates)
+				for g := range segs {
+					segs[g] = want[b][g*sh.seg : (g+1)*sh.seg]
+				}
+				c.PackedGemvRows(segs, m, xs[b], skips[b], fill)
+			}
+			atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
+				dst := NewMatrix(members, rows)
+				c.PackedGemmRows(dst, m, xs, skips, fill)
+				for b := range xs {
+					row := dst.Row(b)
+					for i := range row {
+						if row[i] != want[b][i] {
+							t.Fatalf("GOMAXPROCS %d shape %v member %d row %d: batched %v != serial %v",
+								runtime.GOMAXPROCS(0), sh, b, i, row[i], want[b][i])
+						}
 					}
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
 
 // TestPackedGemmRowsNilSkipsEqualsPackedGemm: a nil mask set (and a set
 // of all-nil member masks) degenerates to the plain batched product.
 func TestPackedGemmRowsNilSkipsEqualsPackedGemm(t *testing.T) {
-	r := rng.New(0x49)
-	const rows, cols, members = 21, 13, 4
-	m := randMatrix(r, rows, cols)
-	xs := make([]Vector, members)
-	for b := range xs {
-		xs[b] = randVector(r, cols)
-	}
-	want := NewMatrix(members, rows)
-	PackedGemm(want, m, xs)
-	for name, skips := range map[string][][]bool{
-		"nil set":   nil,
-		"nil masks": make([][]bool, members),
-	} {
-		dst := NewMatrix(members, rows)
-		PackedGemmRows(dst, m, xs, skips, 0)
-		for i := range dst.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("%s: element %d: %v != %v", name, i, dst.Data[i], want.Data[i])
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		r := rng.New(0x49)
+		const rows, cols, members = 21, 13, 4
+		m := randMatrix(r, rows, cols)
+		xs := make([]Vector, members)
+		for b := range xs {
+			xs[b] = randVector(r, cols)
+		}
+		want := NewMatrix(members, rows)
+		c.PackedGemm(want, m, xs)
+		for name, skips := range map[string][][]bool{
+			"nil set":   nil,
+			"nil masks": make([][]bool, members),
+		} {
+			dst := NewMatrix(members, rows)
+			c.PackedGemmRows(dst, m, xs, skips, 0)
+			for i := range dst.Data {
+				if dst.Data[i] != want.Data[i] {
+					t.Fatalf("%s: element %d: %v != %v", name, i, dst.Data[i], want.Data[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackedGemmRowsShapePanics(t *testing.T) {
 	m := NewMatrix(8, 4)
 	xs := []Vector{NewVector(4), NewVector(4)}
-	for name, fn := range map[string]func(){
-		"dst rows":    func() { PackedGemmRows(NewMatrix(3, 8), m, xs, nil, 0) },
-		"dst cols":    func() { PackedGemmRows(NewMatrix(2, 7), m, xs, nil, 0) },
-		"x cols":      func() { PackedGemmRows(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(5)}, nil, 0) },
-		"skips count": func() { PackedGemmRows(NewMatrix(2, 8), m, xs, make([][]bool, 3), 0) },
-		"mask tiling": func() { PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{make([]bool, 3), nil}, 0) },
-		"empty mask":  func() { PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{{}, nil}, 0) },
-	} {
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		expectPanics(t, map[string]func(){
+			"dst rows":    func() { c.PackedGemmRows(NewMatrix(3, 8), m, xs, nil, 0) },
+			"dst cols":    func() { c.PackedGemmRows(NewMatrix(2, 7), m, xs, nil, 0) },
+			"x cols":      func() { c.PackedGemmRows(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(5)}, nil, 0) },
+			"skips count": func() { c.PackedGemmRows(NewMatrix(2, 8), m, xs, make([][]bool, 3), 0) },
+			"mask tiling": func() { c.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{make([]bool, 3), nil}, 0) },
+			"empty mask":  func() { c.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{{}, nil}, 0) },
+		})
+	})
+}
+
+// expectPanics runs every case and fails the ones that do not Panicf.
+func expectPanics(t *testing.T, cases map[string]func()) {
+	t.Helper()
+	for name, fn := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: no panic", name)
+				if _, ok := recover().(violation); !ok {
+					t.Fatalf("%s: no Panicf", name)
 				}
 			}()
 			fn()
@@ -294,19 +362,21 @@ func TestParallelGemmBitwiseEqualsGemm(t *testing.T) {
 }
 
 func TestGemvRowsNilSkipBitwiseEqualsGemv(t *testing.T) {
-	r := rng.New(0x47)
-	for _, sh := range [][2]int{{1, 1}, {9, 7}, {33, 130}} {
-		m := randMatrix(r, sh[0], sh[1])
-		x := randVector(r, sh[1])
-		a, b := NewVector(sh[0]), NewVector(sh[0])
-		Gemv(a, m, x)
-		GemvRows(b, m, x, nil, -1)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("shape %v row %d: %v != %v", sh, i, a[i], b[i])
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		r := rng.New(0x47)
+		for _, sh := range [][2]int{{1, 1}, {9, 7}, {33, 130}} {
+			m := randMatrix(r, sh[0], sh[1])
+			x := randVector(r, sh[1])
+			a, b := NewVector(sh[0]), NewVector(sh[0])
+			c.Gemv(a, m, x)
+			c.GemvRows(b, m, x, nil, -1)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("shape %v row %d: %v != %v", sh, i, a[i], b[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackValidatesAndConcatenates(t *testing.T) {
@@ -353,22 +423,18 @@ func TestRowBlockAliasesStorage(t *testing.T) {
 
 func TestPackedShapePanics(t *testing.T) {
 	m := NewMatrix(8, 4)
-	for name, fn := range map[string]func(){
-		"dst rows":   func() { PackedGemv([]Vector{NewVector(3)}, m, NewVector(4)) },
-		"x cols":     func() { PackedGemv([]Vector{NewVector(8)}, m, NewVector(5)) },
-		"seg differ": func() { PackedGemvRows([]Vector{NewVector(3), NewVector(5)}, m, NewVector(4), nil, 0) },
-		"skip len":   func() { PackedGemvRows([]Vector{NewVector(4), NewVector(4)}, m, NewVector(4), make([]bool, 3), 0) },
-		"gemm dst":   func() { PackedGemm(NewMatrix(2, 7), m, []Vector{NewVector(4), NewVector(4)}) },
-		"gemm x":     func() { PackedGemm(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(3)}) },
-		"rowblock":   func() { m.RowBlock(3, 9) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	expectPanics(t, map[string]func(){"rowblock": func() { m.RowBlock(3, 9) }})
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		expectPanics(t, map[string]func(){
+			"gemv dst":      func() { c.Gemv(NewVector(7), m, NewVector(4)) },
+			"gemv x":        func() { c.Gemv(NewVector(8), m, NewVector(5)) },
+			"gemvrows skip": func() { c.GemvRows(NewVector(8), m, NewVector(4), make([]bool, 7), 0) },
+			"dst rows":      func() { c.PackedGemv([]Vector{NewVector(3)}, m, NewVector(4)) },
+			"x cols":        func() { c.PackedGemv([]Vector{NewVector(8)}, m, NewVector(5)) },
+			"seg differ":    func() { c.PackedGemvRows([]Vector{NewVector(3), NewVector(5)}, m, NewVector(4), nil, 0) },
+			"skip len":      func() { c.PackedGemvRows([]Vector{NewVector(4), NewVector(4)}, m, NewVector(4), make([]bool, 3), 0) },
+			"gemm dst":      func() { c.PackedGemm(NewMatrix(2, 7), m, []Vector{NewVector(4), NewVector(4)}) },
+			"gemm x":        func() { c.PackedGemm(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(3)}) },
+		})
+	})
 }

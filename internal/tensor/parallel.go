@@ -89,7 +89,7 @@ func ParallelGemv(dst Vector, m *Matrix, x Vector) {
 			len(dst), m.Rows, m.Cols, len(x))
 	}
 	forkJoin(m.Rows, m.Rows*m.Cols, func(lo, hi int) {
-		gemvSpan(dst[lo:hi], m, x, lo)
+		gemvSpan(dotRow, dst[lo:hi], m, x, lo)
 	})
 }
 

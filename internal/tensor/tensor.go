@@ -9,18 +9,20 @@
 //   - serial: Gemv, GemvRows (DRS skip mask), Gemm — every output row
 //     is one 16-lane dot-product chain (kernel.go's dotRowGeneric,
 //     carried in SSE2 assembly on amd64);
-//   - packed (packed.go): Pack/PackedGemv/PackedGemvRows/PackedGemm
-//     over a row-wise united gate matrix (the paper's U_{f,i,c,o}),
-//     streaming the input once per cell instead of once per gate;
+//   - packed (packed.go): Pack/PackedGemv/PackedGemvRows/PackedGemm/
+//     PackedGemmRows over a row-wise united gate matrix (the paper's
+//     U_{f,i,c,o}), streaming the input once per cell instead of once
+//     per gate;
 //   - parallel (parallel.go): ParallelGemv/ParallelGemm, row-sharded
 //     over a size-gated fork-join pool, bitwise identical to the
 //     serial kernels at any GOMAXPROCS.
 //
-// A second, explicitly selected accumulation chain — the wide 32-lane
-// FMA chain (kernel_wide.go, AVX2+FMA assembly on capable amd64) —
-// backs the Wide* kernel family (wide.go) behind the KernelChain
-// fast-mode switch (chain.go). It carries its own wide-vs-wide bitwise
-// contract and is not interchangeable with the canonical chain.
+// The GEMV/GEMM kernels are methods on KernelChain (chain.go), which
+// names the accumulation chain they run: the canonical chain above
+// (ChainSSE2, what the package-level functions run) or the wide 32-lane
+// FMA chain (ChainAVX2: kernel_wide.go, AVX2+FMA assembly on capable
+// amd64). The wide chain carries its own wide-vs-wide bitwise contract
+// and is not interchangeable with the canonical chain.
 //
 // The package is deliberately small and allocation-conscious: LSTM
 // inference is a long sequence of GEMV/GEMM calls over the same shapes, so
@@ -84,25 +86,34 @@ func (m *Matrix) Clone() *Matrix {
 // (4 bytes per float32), as loaded by a GPU kernel.
 func (m *Matrix) SizeBytes() int64 { return int64(m.Rows) * int64(m.Cols) * 4 }
 
-// Gemv computes dst = m · x. dst must have length m.Rows and x length
-// m.Cols. Rows run through the shared dotRow kernel: sixteen
-// independent accumulation lanes, computed four-at-a-time by packed
-// SSE2 on amd64 and by the bitwise-identical pure-Go chain elsewhere.
-func Gemv(dst Vector, m *Matrix, x Vector) {
+// Gemv is ChainSSE2.Gemv.
+func Gemv(dst Vector, m *Matrix, x Vector) { ChainSSE2.Gemv(dst, m, x) }
+
+// GemvRows is ChainSSE2.GemvRows.
+func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+	ChainSSE2.GemvRows(dst, m, x, skip, fill)
+}
+
+// Gemv computes dst = m · x through chain c. dst must have length
+// m.Rows and x length m.Cols. On the canonical chain every row is the
+// shared dotRow kernel: sixteen independent accumulation lanes,
+// computed four-at-a-time by packed SSE2 on amd64 and by the
+// bitwise-identical pure-Go chain elsewhere.
+func (c KernelChain) Gemv(dst Vector, m *Matrix, x Vector) {
 	if len(dst) != m.Rows || len(x) != m.Cols {
 		Panicf("tensor: Gemv shape mismatch: dst %d, m %dx%d, x %d",
 			len(dst), m.Rows, m.Cols, len(x))
 	}
-	gemvSpan(dst, m, x, 0)
+	gemvSpan(c.rowDot(), dst, m, x, 0)
 }
 
-// GemvRows computes dst[i] = m.Row(i) · x only for rows i where
-// skip[i] == false; skipped rows of dst are set to fill. skip may be nil,
-// in which case all rows are computed. This is the numeric counterpart of
-// the paper's Sgemv(U_{f,i,c}, h, R) kernel with trivial rows disabled.
-// Computed rows use the same dotRow chain as Gemv, so a nil-skip
-// GemvRows is bitwise identical to Gemv.
-func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+// GemvRows computes dst[i] = m.Row(i) · x through chain c only for rows
+// i where skip[i] == false; skipped rows of dst are set to fill. skip
+// may be nil, in which case all rows are computed. This is the numeric
+// counterpart of the paper's Sgemv(U_{f,i,c}, h, R) kernel with trivial
+// rows disabled. Computed rows use the same row kernel as c.Gemv, so a
+// nil-skip GemvRows is bitwise identical to Gemv.
+func (c KernelChain) GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	if len(dst) != m.Rows || len(x) != m.Cols {
 		Panicf("tensor: GemvRows shape mismatch: dst %d, m %dx%d, x %d",
 			len(dst), m.Rows, m.Cols, len(x))
@@ -110,8 +121,9 @@ func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	if skip != nil && len(skip) != m.Rows {
 		Panicf("tensor: GemvRows skip length mismatch")
 	}
+	dot := c.rowDot()
 	if skip == nil {
-		gemvSpan(dst, m, x, 0)
+		gemvSpan(dot, dst, m, x, 0)
 		return
 	}
 	n := m.Cols
@@ -120,7 +132,7 @@ func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 			dst[i] = fill
 			continue
 		}
-		dst[i] = dotRow(m.Data[i*n:i*n+n], x)
+		dst[i] = dot(m.Data[i*n:i*n+n], x)
 	}
 }
 

@@ -1,28 +1,21 @@
 package tensor
 
 import (
-	"runtime"
 	"testing"
 
 	"mobilstm/internal/rng"
 )
 
-// The wide family's own equivalence contract: every Wide* kernel must
-// be BITWISE identical to per-row dotRowWide calls — wide-vs-wide, at
-// any GOMAXPROCS and any batch B — mirroring the canonical packed/
-// parallel contracts. Wide-vs-canonical equality is deliberately NOT
-// asserted anywhere: the chains differ by design (see
-// TestDotRowWideFusesProducts).
+// The wide chain's single-input equivalence contract, stated directly
+// on ChainAVX2: every kernel method must be BITWISE identical to
+// per-row dotRowWide calls. The per-chain tests in packed_test.go hold
+// the same contract for every chain; these pin the wide chain on its
+// own shapes and seeds so a wide-only regression names itself.
 
 // wideRef computes dst = m·x per row through dotRowWide — the serial
 // reference every wide kernel is held to.
 func wideRef(m *Matrix, x Vector) Vector {
-	dst := NewVector(m.Rows)
-	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = dotRowWide(m.Data[i*n:i*n+n], x)
-	}
-	return dst
+	return rowRef(dotRowWide, m, x, nil, 0)
 }
 
 func TestWideGemvBitwiseEqualsWideRef(t *testing.T) {
@@ -31,11 +24,11 @@ func TestWideGemvBitwiseEqualsWideRef(t *testing.T) {
 		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
 		x := randVector(r, sh.cols)
 		dst := NewVector(m.Rows)
-		WideGemv(dst, m, x)
+		ChainAVX2.Gemv(dst, m, x)
 		want := wideRef(m, x)
 		for i := range dst {
 			if dst[i] != want[i] {
-				t.Fatalf("shape %v row %d: WideGemv %v != ref %v", sh, i, dst[i], want[i])
+				t.Fatalf("shape %v row %d: Gemv %v != ref %v", sh, i, dst[i], want[i])
 			}
 		}
 	}
@@ -52,7 +45,7 @@ func TestWideGemvRowsBitwiseEqualsWideRef(t *testing.T) {
 		}
 		const fill = -7.5
 		dst := NewVector(m.Rows)
-		WideGemvRows(dst, m, x, skip, fill)
+		ChainAVX2.GemvRows(dst, m, x, skip, fill)
 		want := wideRef(m, x)
 		for i := range dst {
 			w := want[i]
@@ -60,11 +53,11 @@ func TestWideGemvRowsBitwiseEqualsWideRef(t *testing.T) {
 				w = fill
 			}
 			if dst[i] != w {
-				t.Fatalf("shape %v row %d: WideGemvRows %v != %v", sh, i, dst[i], w)
+				t.Fatalf("shape %v row %d: GemvRows %v != %v", sh, i, dst[i], w)
 			}
 		}
-		// nil skip degenerates to WideGemv.
-		WideGemvRows(dst, m, x, nil, fill)
+		// nil skip degenerates to Gemv.
+		ChainAVX2.GemvRows(dst, m, x, nil, fill)
 		for i := range dst {
 			if dst[i] != want[i] {
 				t.Fatalf("shape %v row %d nil-skip: %v != %v", sh, i, dst[i], want[i])
@@ -87,9 +80,9 @@ func TestWidePackedGemvBitwiseEqualsWideGemv(t *testing.T) {
 		for g := range dsts {
 			dsts[g] = NewVector(sh.seg)
 			want[g] = NewVector(sh.seg)
-			WideGemv(want[g], gates[g], x)
+			ChainAVX2.Gemv(want[g], gates[g], x)
 		}
-		WidePackedGemv(dsts, united, x)
+		ChainAVX2.PackedGemv(dsts, united, x)
 		for g := range dsts {
 			for i := range dsts[g] {
 				if dsts[g][i] != want[g][i] {
@@ -120,9 +113,9 @@ func TestWidePackedGemvRowsBitwiseEqualsWideGemvRows(t *testing.T) {
 		for g := range dsts {
 			dsts[g] = NewVector(sh.seg)
 			want[g] = NewVector(sh.seg)
-			WideGemvRows(want[g], gates[g], x, skip, fill)
+			ChainAVX2.GemvRows(want[g], gates[g], x, skip, fill)
 		}
-		WidePackedGemvRows(dsts, united, x, skip, fill)
+		ChainAVX2.PackedGemvRows(dsts, united, x, skip, fill)
 		for g := range dsts {
 			for i := range dsts[g] {
 				if dsts[g][i] != want[g][i] {
@@ -132,85 +125,4 @@ func TestWidePackedGemvRowsBitwiseEqualsWideGemvRows(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestWidePackedGemmBitwiseAtAnyGOMAXPROCS pins the wide whole-layer
-// W·x stage to serial per-input WideGemv across the fork-join sweep —
-// the wide twin of the PackedGemm contract.
-func TestWidePackedGemmBitwiseAtAnyGOMAXPROCS(t *testing.T) {
-	r := rng.New(0x85)
-	const inputs, rows, cols = 37, 68, 96 // big enough to clear the size gate
-	m := randMatrix(r, rows, cols)
-	xs := make([]Vector, inputs)
-	want := make([]Vector, inputs)
-	for i := range xs {
-		xs[i] = randVector(r, cols)
-		want[i] = NewVector(rows)
-		WideGemv(want[i], m, xs[i])
-	}
-	dst := NewMatrix(inputs, rows)
-	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-		for i := range dst.Data {
-			dst.Data[i] = 0
-		}
-		WidePackedGemm(dst, m, xs)
-		for t2 := range xs {
-			row := dst.Row(t2)
-			for i := range row {
-				if row[i] != want[t2][i] {
-					t.Fatalf("GOMAXPROCS %d input %d row %d: %v != %v",
-						runtime.GOMAXPROCS(0), t2, i, row[i], want[t2][i])
-				}
-			}
-		}
-	})
-}
-
-// TestWidePackedGemmRowsBitwiseAtAnyGOMAXPROCS pins the wide batch-B
-// recurrent kernel to per-member serial wide calls across GOMAXPROCS
-// and per-member DRS masks — the batch half of the wide determinism
-// contract.
-func TestWidePackedGemmRowsBitwiseAtAnyGOMAXPROCS(t *testing.T) {
-	r := rng.New(0x86)
-	const batch, seg, gates, cols = 9, 17, 4, 96
-	rows := seg * gates
-	m := randMatrix(r, rows, cols)
-	xs := make([]Vector, batch)
-	skips := make([][]bool, batch)
-	const fill = -1.5
-	want := make([]Vector, batch)
-	for b := range xs {
-		xs[b] = randVector(r, cols)
-		if b%3 != 0 { // leave every third member maskless
-			sk := make([]bool, seg)
-			for i := range sk {
-				sk[i] = r.Bernoulli(0.3)
-			}
-			skips[b] = sk
-		}
-		want[b] = NewVector(rows)
-		for i := 0; i < rows; i++ {
-			if sk := skips[b]; sk != nil && sk[i%seg] {
-				want[b][i] = fill
-				continue
-			}
-			want[b][i] = dotRowWide(m.Data[i*cols:i*cols+cols], xs[b])
-		}
-	}
-	dst := NewMatrix(batch, rows)
-	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-		for i := range dst.Data {
-			dst.Data[i] = 0
-		}
-		WidePackedGemmRows(dst, m, xs, skips, fill)
-		for b := range xs {
-			row := dst.Row(b)
-			for i := range row {
-				if row[i] != want[b][i] {
-					t.Fatalf("GOMAXPROCS %d member %d row %d: %v != %v",
-						runtime.GOMAXPROCS(0), b, i, row[i], want[b][i])
-				}
-			}
-		}
-	})
 }
