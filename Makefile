@@ -57,10 +57,15 @@ lint-ci:
 	fi; \
 	exit $$status
 
-# Short deterministic shake of the gpu fuzz targets; CI runs this in
+# Short shake of every fuzz target, one -fuzz target per `go test` run
+# (the toolchain fuzzes a single target at a time); CI runs this in
 # addition to `check`.
 fuzz-smoke:
-	$(GO) test -run=Fuzz -fuzz=FuzzCacheAccess -fuzztime=10s ./internal/gpu/
+	$(GO) test -run=Fuzz -fuzz='^FuzzCacheAccess$$' -fuzztime=10s ./internal/gpu/
+	$(GO) test -run=Fuzz -fuzz='^FuzzRunBatchEquivalence$$' -fuzztime=5s ./internal/lstm/
+	$(GO) test -run=Fuzz -fuzz='^FuzzReadNetwork$$' -fuzztime=5s ./internal/lstm/
+	$(GO) test -run=Fuzz -fuzz='^FuzzGRURunBatchEquivalence$$' -fuzztime=5s ./internal/gru/
+	$(GO) test -run=Fuzz -fuzz='^FuzzAlignTissues$$' -fuzztime=5s ./internal/intercell/
 
 # Focused race gate for the concurrent serving path: the serve package
 # plus the shared-engine regression tests in core. Already covered by

@@ -16,8 +16,8 @@ import (
 // silently clobber.
 //
 // The check is transitive through the summary engine: an unexported
-// helper may hand arena-backed views to its caller (runLayer returning
-// the ping-pong slab) — that is recorded in its summary, not reported —
+// helper may hand arena-backed views to its caller (the recurrent
+// driver's lockstep body returning the ping-pong slab) — that is recorded in its summary, not reported —
 // and the obligation follows the value until it either dies inside the
 // call tree or hits a real sink, which is reported at the sink.
 func init() {

@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 // TestArenaEscapeSeededViolations runs the analyzer over a scratch
-// fixture that mirrors lstm's layerScratch arena. Expected findings,
+// fixture that mirrors the recurrent driver's scratch arena. Expected findings,
 // in order:
 //
 //	line 19 — Run stores an arena-backed view into a receiver field

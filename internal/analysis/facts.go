@@ -936,7 +936,7 @@ func isInvalidatable(t types.Type) bool {
 
 // isScratchType reports whether t (possibly behind a pointer) is a
 // named scratch-arena struct, identified by the *Scratch naming
-// convention the hot paths use (layerScratch).
+// convention the hot paths use (recurrent.runScratch).
 func isScratchType(t types.Type) bool {
 	if t == nil {
 		return false

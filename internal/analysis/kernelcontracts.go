@@ -41,12 +41,12 @@ func init() {
 // shape-free single-vector reductions ArgMax and MaxAbs, which have no
 // cross-argument dimension contract to check.
 var tensorKernelCoverage = map[string]bool{
-	"Gemv": true, "GemvRows": true, "ParallelGemv": true,
-	"Gemm": true, "ParallelGemm": true,
+	"Gemv": true, "GemvRows": true,
+	"Gemm":       true,
 	"PackedGemv": true, "PackedGemvRows": true,
 	"PackedGemm": true, "PackedGemmRows": true,
 	"Pack": true,
-	"Add":  true, "Mul": true, "Axpy": true, "Dot": true,
+	"Add":  true, "Mul": true, "Dot": true,
 	"SigmoidVec": true, "HardSigmoidVec": true, "TanhVec": true,
 	"AbsRowSums": true,
 	"ArgMax":     true, "MaxAbs": true,

@@ -22,13 +22,15 @@ import (
 // AbsRowSums/Clone/Pack/RowBlock and make(), integer dimensions fold
 // through named constants, coef·base products (4*h keeps the base h)
 // and same-base sums (4*h - h keeps 3*h for RowBlock views), and every
-// Gemv/GemvRows/Gemm/Add/Mul/Axpy/Dot/SigmoidVec/HardSigmoidVec/TanhVec
+// Gemv/GemvRows/Gemm/Add/Mul/Dot/SigmoidVec/HardSigmoidVec/TanhVec
 // call site is checked for compatible dst/m/x dimensions. The packed
 // and parallel kernels carry their own contracts: Pack inputs must
 // agree on columns, a PackedGemm destination's column count is the
 // united row count, a PackedGemvRows skip mask must tile the united
-// matrix, and ParallelGemv/ParallelGemm check exactly like their serial
-// twins (they are bitwise identical, so the shapes are too). The
+// matrix. A matrix header written as a composite literal
+// (tensor.Matrix{Rows: r, Cols: c, Data: ...}, the allocation-free
+// views the recurrent driver re-heads over arena slabs) has the shape
+// its Rows and Cols fields spell, and &v has v's shape. The
 // kernels.Builder cost constructors take the same h/e/t integers, so a
 // dimension variable shared between a tensor allocation and a kernel
 // spec is tracked as one symbol.
@@ -371,14 +373,14 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			return nil
 		}
 		switch name {
-		case "Gemv", "GemvRows", "ParallelGemv":
+		case "Gemv", "GemvRows":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "m rows", rows)
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
 			if name == "GemvRows" {
 				c.require(call, name, "skip length", c.vdim(ev, arg(3)), "m rows", rows)
 			}
-		case "Gemm", "ParallelGemm":
+		case "Gemm":
 			dr, dc := c.mdims(ev, arg(0))
 			ar, ac := c.mdims(ev, arg(1))
 			br, bc := c.mdims(ev, arg(2))
@@ -440,8 +442,6 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			dn, an, bn := c.vdim(ev, arg(0)), c.vdim(ev, arg(1)), c.vdim(ev, arg(2))
 			c.require(call, name, "dst length", dn, "a length", an)
 			c.require(call, name, "a length", an, "b length", bn)
-		case "Axpy":
-			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "x length", c.vdim(ev, arg(2)))
 		case "Dot":
 			c.require(call, name, "a length", c.vdim(ev, arg(0)), "b length", c.vdim(ev, arg(1)))
 		case "SigmoidVec", "HardSigmoidVec", "TanhVec":
@@ -764,6 +764,36 @@ func (c *shapeClient) vovOf(ev *env, e ast.Expr) vovFact {
 // matrixFact derives the shape fact for a matrix-typed expression that
 // has no environment binding.
 func (c *shapeClient) matrixFact(ev *env, e ast.Expr) any {
+	switch x := e.(type) {
+	case *ast.CompositeLit:
+		// tensor.Matrix{Rows: r, Cols: c, ...}: the keyed dimensions.
+		f := matFact{}
+		for _, el := range x.Elts {
+			kv, ok := el.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			key, ok := kv.Key.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			switch key.Name {
+			case "Rows":
+				f.rows = c.dimOf(ev, kv.Value)
+			case "Cols":
+				f.cols = c.dimOf(ev, kv.Value)
+			}
+		}
+		return f
+	case *ast.UnaryExpr:
+		// &m has m's shape.
+		if x.Op == token.AND {
+			if f, ok := ev.eval(ast.Unparen(x.X)).(matFact); ok {
+				return f
+			}
+		}
+		return nil
+	}
 	if call, ok := e.(*ast.CallExpr); ok {
 		switch c.tensorCallee(call) {
 		case "NewMatrix":

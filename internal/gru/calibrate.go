@@ -4,6 +4,7 @@ package gru
 import (
 	"math"
 
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/tensor"
 )
 
@@ -22,7 +23,7 @@ func Calibrate(n *Network, seqs [][]tensor.Vector, spreadFor func(layer int) flo
 			scaleColumns(l, act)
 		}
 		normalizeSpread(l, cur, spreadFor(li))
-		cur, act = forwardAll(n, l, cur)
+		cur, act = forwardAll(n, li, cur)
 	}
 	calibrateHead(n, cur, act)
 }
@@ -85,45 +86,27 @@ func normalizeSpread(l *Layer, seqs [][]tensor.Vector, target float64) {
 	}
 }
 
-func forwardAll(n *Network, l *Layer, seqs [][]tensor.Vector) ([][]tensor.Vector, tensor.Vector) {
-	out := make([][]tensor.Vector, len(seqs))
-	sumAbs := make([]float64, l.Hidden)
+// forwardAll runs layer li exactly over every sequence (the shared
+// lockstep body, one member at a time), returning the hidden output
+// sequences and the per-feature mean |h_j|.
+func forwardAll(n *Network, li int, seqs [][]tensor.Vector) ([][]tensor.Vector, tensor.Vector) {
+	out := recurrent.LayerOutputs(n.cell(), li, seqs)
+	h := n.Layers[li].Hidden
+	sumAbs := make([]float64, h)
 	var count int64
-	var sc *layerScratch
-	for si, xs := range seqs {
-		if sc == nil {
-			sc = newLayerScratch(l.Hidden, len(xs))
-		}
-		hs := runLayerExact(n, l, xs, sc)
-		out[si] = hs
-		for _, h := range hs {
-			for j, v := range h {
-				sumAbs[j] += math.Abs(float64(v))
+	for _, hs := range out {
+		for _, v := range hs {
+			for j, x := range v {
+				sumAbs[j] += math.Abs(float64(x))
 			}
 			count++
 		}
 	}
-	act := tensor.NewVector(l.Hidden)
+	act := tensor.NewVector(h)
 	for j := range act {
 		act[j] = float32(sumAbs[j] / float64(count))
 	}
 	return out, act
-}
-
-// runLayerExact runs the layer over one sequence and returns hidden
-// vectors with their own backing store: forwardAll retains every
-// sequence's outputs at once, so they cannot stay in the reused scratch
-// slabs.
-func runLayerExact(n *Network, l *Layer, xs []tensor.Vector, sc *layerScratch) []tensor.Vector {
-	hs := n.runLayer(0, l, xs, Baseline(), nil, sc, tensor.ChainSSE2)
-	h := l.Hidden
-	buf := make([]float32, len(hs)*h)
-	out := make([]tensor.Vector, len(hs))
-	for t, v := range hs {
-		out[t] = buf[t*h : (t+1)*h]
-		copy(out[t], v)
-	}
-	return out
 }
 
 func calibrateHead(n *Network, seqs [][]tensor.Vector, act tensor.Vector) {

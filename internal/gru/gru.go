@@ -27,6 +27,7 @@ package gru
 
 import (
 	"mobilstm/internal/intercell"
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
 )
@@ -136,74 +137,26 @@ func initLayer(r *rng.RNG, l *Layer, dTarget, carryFrac float64) {
 	}
 }
 
-// RunOptions selects the execution mode (mirrors lstm.RunOptions).
-type RunOptions struct {
-	Inter      bool
-	AlphaInter float64
-	MTS        int
-	Predictors []intercell.Predictor // only the H vector is used
+// RunOptions selects the execution mode (see recurrent.RunOptions,
+// which the GRU shares with the LSTM; only a predictor's H vector is
+// used).
+type RunOptions = recurrent.RunOptions
 
-	Intra      bool
-	AlphaIntra float64
+// Trace records structural decisions.
+type Trace = recurrent.Trace
 
-	// Chain selects the accumulation chain (see lstm.RunOptions.Chain):
-	// ChainAuto follows the process default, ChainAVX2 opts into the
-	// wide FMA fast mode with its own wide-vs-wide bitwise contract.
-	Chain tensor.KernelChain
-
-	Trace *Trace
-}
+// LayerTrace is the per-layer record of a Trace.
+type LayerTrace = recurrent.LayerTrace
 
 // Baseline returns exact-flow options.
 func Baseline() RunOptions { return RunOptions{} }
 
-// Trace records structural decisions (see lstm.Trace).
-type Trace struct {
-	Layers []LayerTrace
-}
-
-// LayerTrace is the per-layer record.
-type LayerTrace struct {
-	Layer         int
-	Cells         int
-	Relevance     []float64
-	Breakpoints   []int
-	SublayerSizes []int
-	TissueSizes   []int
-	SkipCounts    []int
-}
-
 // Run executes the network on one sequence and returns the logits. Like
-// lstm.Run, the layer loop owns one scratch arena for the whole call, so
-// the hot path performs no per-cell allocation.
+// lstm.Run it is a batch of one through the shared recurrent driver,
+// which owns one scratch arena for the whole call, so the hot path
+// performs no per-cell allocation.
 func (n *Network) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
-	if len(xs) == 0 {
-		tensor.Panicf("gru: empty input sequence")
-	}
-	if opt.Inter {
-		if opt.MTS < 1 {
-			tensor.Panicf("gru: Inter mode requires MTS >= 1")
-		}
-		if len(opt.Predictors) != len(n.Layers) {
-			tensor.Panicf("gru: %d predictors for %d layers", len(opt.Predictors), len(n.Layers))
-		}
-	}
-	kc := tensor.ResolveChain(opt.Chain)
-	sc := newLayerScratch(n.Layers[0].Hidden, len(xs))
-	seq := xs
-	for li, l := range n.Layers {
-		var lt *LayerTrace
-		if opt.Trace != nil {
-			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(seq)})
-			lt = &opt.Trace.Layers[len(opt.Trace.Layers)-1]
-		}
-		seq = n.runLayer(li, l, seq, opt, lt, sc, kc)
-	}
-	last := seq[len(seq)-1]
-	logits := tensor.NewVector(n.Head.Rows)
-	kc.Gemv(logits, n.Head, last)
-	tensor.Add(logits, logits, n.HeadBias)
-	return logits
+	return recurrent.Run(n.cell(), xs, opt)
 }
 
 // Classify returns the argmax class.
@@ -211,317 +164,44 @@ func (n *Network) Classify(xs []tensor.Vector, opt RunOptions) int {
 	return tensor.ArgMax(n.Run(xs, opt))
 }
 
-// layerScratch is the arena behind one GRU forward pass, mirroring the
-// LSTM arena: per-cell buffers are carved out of a few growth-only
-// slabs, and hidden outputs use two ping-pong slabs because layer k+1
-// reads layer k's outputs while producing its own.
-type layerScratch struct {
-	hid      int
-	cells    int
-	capCells int
-
-	wxFull *tensor.Matrix // capCells × 3h united W·x slab
-	wx     *tensor.Matrix // first `cells` rows; row t = [xz|xr|xh]
-
-	uz, ur tensor.Vector   // U_{z,r} · h_{t-1}, views into one 2h slab
-	zr     []tensor.Vector // {uz, ur}: the PackedGemv destinations
-	uh, rh tensor.Vector   // U_h · (r ⊙ h_{t-1}) and its operand
-
-	zs, rs     []tensor.Vector // per-tissue update/reset gates
-	zBuf, rBuf []float32
-	skip       []bool
-
-	hsA, hsB       []tensor.Vector // ping-pong per-cell hidden outputs
-	hsABuf, hsBBuf []float32
-	ping           bool
-
-	states []tensor.Vector // per-sub-layer h, views into stBuf
-	stBuf  []float32
-	subOf  []int
+// RunBatch executes the network on a batch of input sequences and
+// returns one logits vector per member, bitwise identical to Run on
+// each member alone: the baseline and carry-DRS flows run in lockstep
+// (U_{z,r}, then U_h under the per-member carry masks, each streaming
+// once per timestep for the whole batch), Inter batches member by
+// member. A non-nil opt.Trace rejects the batch.
+func (n *Network) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vector {
+	return recurrent.RunBatch(n.cell(), seqs, opt)
 }
 
-func newLayerScratch(h, cells int) *layerScratch {
-	sc := &layerScratch{}
-	sc.reset(h, cells)
-	return sc
+// RunBatchE is the error-returning RunBatch (tensor.Guard boundary).
+func (n *Network) RunBatchE(seqs [][]tensor.Vector, opt RunOptions) ([]tensor.Vector, error) {
+	return recurrent.RunBatchE(n.cell(), seqs, opt)
 }
 
-// reset prepares the arena for a layer of the given shape, reallocating
-// the slabs only when the shape outgrows them.
-func (sc *layerScratch) reset(h, cells int) {
-	if h != sc.hid || cells > sc.capCells {
-		c := cells
-		if h == sc.hid && c < sc.capCells {
-			c = sc.capCells
-		}
-		sc.hid, sc.capCells = h, c
-		sc.wxFull = tensor.NewMatrix(c, 3*h)
-		zrBuf := tensor.NewVector(2 * h)
-		sc.uz, sc.ur = zrBuf[:h], zrBuf[h:]
-		sc.zr = []tensor.Vector{sc.uz, sc.ur}
-		sc.uh = tensor.NewVector(h)
-		sc.rh = tensor.NewVector(h)
-		sc.skip = make([]bool, h)
-		sc.zBuf = make([]float32, c*h)
-		sc.rBuf = make([]float32, c*h)
-		sc.hsABuf = make([]float32, c*h)
-		sc.hsBBuf = make([]float32, c*h)
-		sc.zs = make([]tensor.Vector, c)
-		sc.rs = make([]tensor.Vector, c)
-		sc.hsA = make([]tensor.Vector, c)
-		sc.hsB = make([]tensor.Vector, c)
-		for i := 0; i < c; i++ {
-			sc.zs[i] = sc.zBuf[i*h : (i+1)*h]
-			sc.rs[i] = sc.rBuf[i*h : (i+1)*h]
-			sc.hsA[i] = sc.hsABuf[i*h : (i+1)*h]
-			sc.hsB[i] = sc.hsBBuf[i*h : (i+1)*h]
-		}
-		sc.stBuf = make([]float32, c*h)
-		sc.states = make([]tensor.Vector, c)
-		sc.subOf = make([]int, c)
-		sc.wx = nil
-	}
-	if sc.wx == nil || sc.wx.Rows != cells {
-		sc.wx = sc.wxFull.RowBlock(0, cells)
-	}
-	sc.cells = cells
+// ClassifyBatch runs the batch and returns the argmax class per member.
+func (n *Network) ClassifyBatch(seqs [][]tensor.Vector, opt RunOptions) []int {
+	return recurrent.ClassifyBatch(n.cell(), seqs, opt)
 }
 
-// state binds sub-layer si's hidden state to its arena slot without
-// initializing the contents.
-func (sc *layerScratch) state(si int) tensor.Vector {
-	h := sc.hid
-	sc.states[si] = sc.stBuf[si*h : (si+1)*h]
-	return sc.states[si]
-}
-
-// nextHS flips the ping-pong and returns the hidden-output views for the
-// current layer.
-func (sc *layerScratch) nextHS() []tensor.Vector {
-	sc.ping = !sc.ping
-	if sc.ping {
-		return sc.hsA[:sc.cells]
-	}
-	return sc.hsB[:sc.cells]
-}
-
-func (n *Network) runLayer(li int, l *Layer, xs []tensor.Vector, opt RunOptions, lt *LayerTrace, sc *layerScratch, kc tensor.KernelChain) []tensor.Vector {
-	nCells := len(xs)
-	h := l.Hidden
-	pw := l.packedWeights()
-	sc.reset(h, nCells)
-
-	// United input projections for the whole layer: one weight stream
-	// over W_{z,r,h} (the §II-B counterpart of the LSTM's united
-	// Sgemm(W_{f,i,c,o}, x)). Row t of wx is cell t's [xz|xr|xh].
-	kc.PackedGemm(sc.wx, pw.w, xs)
-	wrow := func(t int) (xz, xr, xh tensor.Vector) {
-		row := sc.wx.Row(t)
-		return row[:h], row[h : 2*h], row[2*h:]
-	}
-
-	if !opt.Inter {
-		// Sequential flow: one sub-layer, every cell its own tissue —
-		// identical math to the generic path below with tissues of one,
-		// without materializing the per-cell tissue slices.
-		if lt != nil {
-			lt.SublayerSizes = []int{nCells}
-			ts := make([]int, nCells)
-			for i := range ts {
-				ts[i] = 1
-			}
-			lt.TissueSizes = ts
-		}
-		st := sc.state(0)
-		st.Fill(0)
-		hs := sc.nextHS()
-		z, rv := sc.zs[0], sc.rs[0]
-		for t := 0; t < nCells; t++ {
-			kc.PackedGemv(sc.zr, pw.uzr, st)
-			xz, xr, xh := wrow(t)
-			for j := 0; j < h; j++ {
-				z[j] = tensor.Sigmoid(xz[j] + sc.uz[j] + l.Bz[j])
-				rv[j] = tensor.Sigmoid(xr[j] + sc.ur[j] + l.Br[j])
-			}
-			var skip []bool
-			var skipCount int
-			if opt.Intra {
-				skip, skipCount = tissueCarryRowsInto(sc.skip, sc.zs[:1], opt.AlphaIntra)
-			}
-			if lt != nil && opt.Intra {
-				lt.SkipCounts = append(lt.SkipCounts, skipCount)
-			}
-			tensor.Mul(sc.rh, rv, st)
-			kc.GemvRows(sc.uh, l.Uh, sc.rh, skip, 0)
-			hNew := hs[t]
-			for j := 0; j < h; j++ {
-				if skip != nil && skip[j] {
-					hNew[j] = st[j]
-					continue
-				}
-				cand := tensor.Tanh(xh[j] + sc.uh[j] + l.Bh[j])
-				hNew[j] = (1-z[j])*st[j] + z[j]*cand
-			}
-			copy(st, hNew)
-		}
-		return hs
-	}
-
-	var subs [][]int
-	if nCells > 1 {
-		an := newAnalyzer(l)
-		rel := make([]float64, nCells-1)
-		for t := 1; t < nCells; t++ {
-			xz, xr, xh := wrow(t)
-			rel[t-1] = an.relevance(xz, xr, xh)
-		}
-		breaks := intercell.Breakpoints(rel, opt.AlphaInter)
-		subs = intercell.Sublayers(nCells, breaks)
-		if lt != nil {
-			lt.Relevance = rel
-			lt.Breakpoints = breaks
-		}
-	} else {
-		subs = intercell.Sublayers(nCells, nil)
-	}
-	tissues := intercell.AlignTissues(subs, opt.MTS)
-	if lt != nil {
-		lt.SublayerSizes = intercell.TissueSizes(subs)
-		lt.TissueSizes = intercell.TissueSizes(tissues)
-	}
-
-	subOf := sc.subOf[:nCells]
-	for si, s := range subs {
-		for _, c := range s {
-			subOf[c] = si
-		}
-	}
-	states := sc.states[:len(subs)]
-	for si := range states {
-		st := sc.state(si)
-		if si == 0 {
-			st.Fill(0)
-			continue
-		}
-		copy(st, opt.Predictors[li].H)
-	}
-
-	hs := sc.nextHS()
-	for _, tissue := range tissues {
-		// z and r first for every cell in the tissue: z gates the DRS
-		// decision, and both need only h_{t-1} — so U_z and U_r run as
-		// one united stream per cell.
-		zs, rs := sc.zs[:len(tissue)], sc.rs[:len(tissue)]
-		for ci, cell := range tissue {
-			hPrev := states[subOf[cell]]
-			kc.PackedGemv(sc.zr, pw.uzr, hPrev)
-			xz, xr, _ := wrow(cell)
-			z, rv := zs[ci], rs[ci]
-			for j := 0; j < h; j++ {
-				z[j] = tensor.Sigmoid(xz[j] + sc.uz[j] + l.Bz[j])
-				rv[j] = tensor.Sigmoid(xr[j] + sc.ur[j] + l.Br[j])
-			}
-		}
-		// The tissue's shared skip set: candidate rows whose update gate
-		// is near zero for every cell in the tissue.
-		var skip []bool
-		var skipCount int
-		if opt.Intra {
-			skip, skipCount = tissueCarryRowsInto(sc.skip, zs, opt.AlphaIntra)
-		}
-		if lt != nil {
-			lt.SkipCounts = append(lt.SkipCounts, skipCount)
-		}
-		for ci, cell := range tissue {
-			hPrev := states[subOf[cell]]
-			tensor.Mul(sc.rh, rs[ci], hPrev)
-			kc.GemvRows(sc.uh, l.Uh, sc.rh, skip, 0)
-			z := zs[ci]
-			_, _, xh := wrow(cell)
-			hNew := hs[cell]
-			for j := 0; j < h; j++ {
-				if skip != nil && skip[j] {
-					// Carry: h_t[j] ~ h_{t-1}[j] since z[j] ~ 0.
-					hNew[j] = hPrev[j]
-					continue
-				}
-				cand := tensor.Tanh(xh[j] + sc.uh[j] + l.Bh[j])
-				hNew[j] = (1-z[j])*hPrev[j] + z[j]*cand
-			}
-			// Advance the sub-layer state in place; hNew stays valid in
-			// the ping-pong slab as the layer output.
-			copy(hPrev, hNew)
-		}
-	}
-	return hs
-}
-
-// tissueCarryRows marks candidate rows skippable for a whole tissue: the
-// update gate must be near zero for every cell in it.
-func tissueCarryRows(zs []tensor.Vector, alpha float64) ([]bool, int) {
-	if alpha <= 0 || len(zs) == 0 {
-		return nil, 0
-	}
-	return tissueCarryRowsInto(make([]bool, len(zs[0])), zs, alpha)
-}
-
-// tissueCarryRowsInto is tissueCarryRows writing the mask into a
-// caller-owned buffer, so per-tissue calls on the hot path do not
-// allocate. Every element of dst is rewritten.
-func tissueCarryRowsInto(dst []bool, zs []tensor.Vector, alpha float64) ([]bool, int) {
-	if alpha <= 0 || len(zs) == 0 {
-		return nil, 0
-	}
-	dim := len(zs[0])
-	if len(dst) != dim {
-		tensor.Panicf("gru: tissueCarryRowsInto mask length %d, want %d", len(dst), dim)
-	}
-	a := float32(alpha)
-	count := 0
-	for j := 0; j < dim; j++ {
-		carry := true
-		for _, z := range zs {
-			if z[j] >= a {
-				carry = false
-				break
-			}
-		}
-		dst[j] = carry
-		if carry {
-			count++
-		}
-	}
-	return dst, count
+// ClassifyBatchE is the error-returning ClassifyBatch.
+func (n *Network) ClassifyBatchE(seqs [][]tensor.Vector, opt RunOptions) ([]int, error) {
+	return recurrent.ClassifyBatchE(n.cell(), seqs, opt)
 }
 
 // CollectPredictors runs the exact flow over the sequences and returns
 // the Eq. 6 mean-link predictor per layer (GRUs have no cell state, so
-// only the H vector is meaningful).
+// only the H vector is meaningful; C stays zero).
 func CollectPredictors(n *Network, samples [][]tensor.Vector) []intercell.Predictor {
 	stats := make([]*intercell.LinkStats, len(n.Layers))
+	zero := make([]tensor.Vector, len(n.Layers))
 	for i, l := range n.Layers {
 		stats[i] = intercell.NewLinkStats(l.Hidden)
-	}
-	zero := map[int]tensor.Vector{}
-	for i, l := range n.Layers {
 		zero[i] = tensor.NewVector(l.Hidden)
 	}
-	var sc *layerScratch
-	for _, xs := range samples {
-		if sc == nil {
-			sc = newLayerScratch(n.Layers[0].Hidden, len(xs))
-		}
-		seq := xs
-		for li, l := range n.Layers {
-			// Predictors are offline artifacts shared across chains:
-			// always collect them on the canonical chain.
-			hs := n.runLayer(li, l, seq, Baseline(), nil, sc, tensor.ChainSSE2)
-			for _, h := range hs {
-				stats[li].Observe(h, zero[li])
-			}
-			seq = hs
-		}
-	}
+	recurrent.Observe(n.cell(), samples, func(li int, h tensor.Vector) {
+		stats[li].Observe(h, zero[li])
+	})
 	out := make([]intercell.Predictor, len(n.Layers))
 	for i, s := range stats {
 		out[i] = s.Predictor()

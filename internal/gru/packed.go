@@ -12,8 +12,8 @@ import (
 // projection packs all three gates; the recurrent side packs only U_z
 // and U_r, which share the operand h_{t-1}. U_h stays per-gate because
 // it multiplies r_t ⊙ h_{t-1}, an operand that exists only after the
-// reset gate — and it is also the DRS-skippable block, served by
-// GemvRows.
+// reset gate — and it is also the DRS-skippable block, the phase-2
+// matrix of the shared recurrent driver.
 type packedWeights struct {
 	// w is the united input projection (3h × Input), rows [z|r|h] — the
 	// order the wx scratch rows are sliced in.

@@ -4,6 +4,7 @@ package lstm
 import (
 	"math"
 
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/tensor"
 )
 
@@ -40,7 +41,7 @@ func Calibrate(n *Network, seqs [][]tensor.Vector, spreadFor func(layer int) flo
 			scaleColumns(l, act)
 		}
 		normalizeSpread(l, cur, spreadFor(li))
-		cur, act = forwardAll(n, l, cur)
+		cur, act = forwardAll(n, li, cur)
 	}
 	calibrateHead(n, cur, act)
 }
@@ -107,54 +108,27 @@ func normalizeSpread(l *Layer, seqs [][]tensor.Vector, targetSpread float64) {
 	}
 }
 
-// forwardAll runs the layer exactly over every sequence, returning the
-// hidden output sequences and the per-feature mean |h_j|.
-func forwardAll(n *Network, l *Layer, seqs [][]tensor.Vector) ([][]tensor.Vector, tensor.Vector) {
-	out := make([][]tensor.Vector, len(seqs))
-	sumAbs := make([]float64, l.Hidden)
+// forwardAll runs layer li exactly over every sequence (the shared
+// lockstep body, one member at a time), returning the hidden output
+// sequences and the per-feature mean |h_j|.
+func forwardAll(n *Network, li int, seqs [][]tensor.Vector) ([][]tensor.Vector, tensor.Vector) {
+	out := recurrent.LayerOutputs(n.cell(), li, seqs)
+	h := n.Layers[li].Hidden
+	sumAbs := make([]float64, h)
 	var count int64
-	for si, xs := range seqs {
-		hs := runLayerExact(n, l, xs)
-		out[si] = hs
-		for _, h := range hs {
-			for j, v := range h {
-				sumAbs[j] += math.Abs(float64(v))
+	for _, hs := range out {
+		for _, v := range hs {
+			for j, x := range v {
+				sumAbs[j] += math.Abs(float64(x))
 			}
 			count++
 		}
 	}
-	act := tensor.NewVector(l.Hidden)
+	act := tensor.NewVector(h)
 	for j := range act {
 		act[j] = float32(sumAbs[j] / float64(count))
 	}
 	return out, act
-}
-
-// runLayerExact is the unmodified per-layer forward used during
-// calibration. Unlike the Run path it returns hidden vectors with their
-// own backing store: forwardAll retains every sequence's outputs at
-// once, so they cannot live in a reused scratch slab.
-func runLayerExact(n *Network, l *Layer, xs []tensor.Vector) []tensor.Vector {
-	h := l.Hidden
-	pw := l.packedWeights()
-	sc := newLayerScratch(h, len(xs))
-	tensor.PackedGemm(sc.wx, pw.w, xs)
-	st := sc.zeroState(0)
-	o := sc.os[0]
-	hsBuf := make([]float32, len(xs)*h)
-	hs := make([]tensor.Vector, len(xs))
-	for t := range xs {
-		row := sc.wx.Row(t)
-		xf, xi, xc, xo := row[:h], row[h:2*h], row[2*h:3*h], row[3*h:]
-		tensor.Gemv(sc.uo, pw.uo, st.h)
-		for j := 0; j < h; j++ {
-			o[j] = n.Gate.Apply(xo[j] + sc.uo[j] + l.Bo[j])
-		}
-		n.stepFIC(l, pw, st, xf, xi, xc, o, nil, sc, tensor.ChainSSE2)
-		hs[t] = hsBuf[t*h : (t+1)*h]
-		copy(hs[t], st.h)
-	}
-	return hs
 }
 
 // calibrateHead co-adapts the head columns to final-layer feature

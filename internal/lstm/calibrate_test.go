@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
 )
@@ -57,11 +58,7 @@ func TestCalibrateDeepLayersUsable(t *testing.T) {
 	// Run the layers to get layer-2 inputs, then check its spread.
 	cur := seqs
 	for li := 0; li < 2; li++ {
-		next := make([][]tensor.Vector, len(cur))
-		for i, xs := range cur {
-			next[i] = runLayerExact(n, n.Layers[li], xs)
-		}
-		cur = next
+		cur = recurrent.LayerOutputs(n.cell(), li, cur)
 	}
 	rms := preActivationRMS(n.Layers[2], cur)
 	if rms < 0.8 || rms > 1.6 {

@@ -62,6 +62,9 @@ func FuzzReadNetwork(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:10])
 	f.Add([]byte("garbage"))
+	// A bare header claiming hidden=65536 (16 GiB per recurrent matrix):
+	// the reader must fail without allocating the claim.
+	f.Add(headerOnly(1, 1, 65536, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadNetwork(bytes.NewReader(data))
 		if err != nil {

@@ -74,6 +74,7 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	if hdr[1] != netVersion {
 		return nil, fmt.Errorf("lstm: unsupported version %d", hdr[1])
 	}
+	var err error
 	gate := tensor.Activation(hdr[2])
 	layers, input, hidden, classes := int(hdr[3]), int(hdr[4]), int(hdr[5]), int(hdr[6])
 	const maxDim = 1 << 20
@@ -81,24 +82,40 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 		hidden < 1 || hidden > maxDim || classes < 1 || classes > maxDim {
 		return nil, fmt.Errorf("lstm: implausible shape %dx%dx%dx%d", layers, input, hidden, classes)
 	}
-	n := NewNetwork(input, hidden, layers, classes)
-	n.Gate = gate
-	for _, l := range n.Layers {
-		for _, m := range []*tensor.Matrix{l.Wf, l.Wi, l.Wc, l.Wo, l.Uf, l.Ui, l.Uc, l.Uo} {
-			if err := readFloats(br, m.Data); err != nil {
+	// The header only claims a shape: storage grows with the bytes that
+	// actually arrive, so a short stream behind a huge header fails
+	// after allocating no more than it delivered.
+	n := &Network{Gate: gate}
+	in := input
+	for i := 0; i < layers; i++ {
+		var ms [8]*tensor.Matrix // W_{f,i,c,o} (hidden × in), then U_{f,i,c,o}
+		for k := range ms {
+			cols := hidden
+			if k < 4 {
+				cols = in
+			}
+			if ms[k], err = readMatrix(br, hidden, cols); err != nil {
 				return nil, err
 			}
 		}
-		for _, b := range []tensor.Vector{l.Bf, l.Bi, l.Bc, l.Bo} {
-			if err := readFloats(br, b); err != nil {
+		var bs [4]tensor.Vector
+		for k := range bs {
+			if bs[k], err = readFloats(br, hidden); err != nil {
 				return nil, err
 			}
 		}
+		n.Layers = append(n.Layers, &Layer{
+			Hidden: hidden, Input: in,
+			Wf: ms[0], Wi: ms[1], Wc: ms[2], Wo: ms[3],
+			Uf: ms[4], Ui: ms[5], Uc: ms[6], Uo: ms[7],
+			Bf: bs[0], Bi: bs[1], Bc: bs[2], Bo: bs[3],
+		})
+		in = hidden
 	}
-	if err := readFloats(br, n.Head.Data); err != nil {
+	if n.Head, err = readMatrix(br, classes, hidden); err != nil {
 		return nil, err
 	}
-	if err := readFloats(br, n.HeadBias); err != nil {
+	if n.HeadBias, err = readFloats(br, classes); err != nil {
 		return nil, err
 	}
 	if err := n.Validate(); err != nil {
@@ -116,15 +133,39 @@ func writeFloats(w io.Writer, xs []float32) error {
 	return err
 }
 
-func readFloats(r io.Reader, xs []float32) error {
-	buf := make([]byte, 4*len(xs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("lstm: reading weights: %w", err)
+// readChunk bounds how many floats readFloats decodes (and grows its
+// storage by) per read.
+const readChunk = 1 << 14
+
+// readFloats reads count little-endian float32 values, growing the
+// result only as the data arrives.
+func readFloats(r io.Reader, count int) (tensor.Vector, error) {
+	out := make(tensor.Vector, 0, min(count, readChunk))
+	buf := make([]byte, 4*min(count, readChunk))
+	for len(out) < count {
+		k := min(count-len(out), readChunk)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return nil, fmt.Errorf("lstm: reading weights: %w", err)
+		}
+		if len(out)+k > cap(out) {
+			grown := make(tensor.Vector, len(out), min(count, max(2*cap(out), len(out)+k)))
+			copy(grown, out)
+			out = grown
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
 	}
-	for i := range xs {
-		xs[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	return out, nil
+}
+
+// readMatrix reads a rows × cols matrix with readFloats.
+func readMatrix(r io.Reader, rows, cols int) (*tensor.Matrix, error) {
+	data, err := readFloats(r, rows*cols)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return &tensor.Matrix{Rows: rows, Cols: cols, Data: data}, nil
 }
 
 type countWriter struct {

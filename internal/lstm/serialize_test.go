@@ -2,6 +2,8 @@ package lstm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -85,6 +87,34 @@ func TestReadNetworkRejectsTruncation(t *testing.T) {
 	b := buf.Bytes()[:buf.Len()/2]
 	if _, err := ReadNetwork(bytes.NewReader(b)); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// headerOnly returns a bare 28-byte header claiming the given shape,
+// with no weight payload behind it.
+func headerOnly(layers, input, hidden, classes uint32) []byte {
+	var buf bytes.Buffer
+	for _, v := range []uint32{netMagic, netVersion, 0, layers, input, hidden, classes} {
+		binary.Write(&buf, binary.LittleEndian, v)
+	}
+	return buf.Bytes()
+}
+
+// TestReadNetworkAllocatesWhatArrives pins that a header's claimed
+// shape is not allocated up-front: hidden=4096 claims 64 MiB per
+// recurrent matrix, but with no payload the reader must fail having
+// allocated almost nothing.
+func TestReadNetworkAllocatesWhatArrives(t *testing.T) {
+	hdr := headerOnly(1, 1, 4096, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadNetwork(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without payload accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a bare header allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 

@@ -64,18 +64,6 @@ func BenchmarkPackedGemvRowsSkipHalf(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelGemv(b *testing.B) {
-	const h = 650
-	united, _, x := benchDims(h)
-	dst := NewVector(4 * h)
-	b.SetBytes(united.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelGemv(dst, united, x)
-	}
-}
-
 func BenchmarkPackedGemm(b *testing.B) {
 	const h, steps = 650, 16
 	united, _, _ := benchDims(h)
@@ -138,13 +126,6 @@ func BenchmarkGemmSizes(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Gemm(dst, a, c)
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n) * int64(n) * 4)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ParallelGemm(dst, a, c)
 			}
 		})
 	}

@@ -119,17 +119,24 @@ func (c KernelChain) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []b
 		Panicf("tensor: PackedGemvRows skip length %d, segment %d", len(skip), seg)
 	}
 	dot := c.rowDot()
-	n := m.Cols
 	for k, d := range dsts {
-		base := k * seg
-		for i := 0; i < seg; i++ {
-			if skip[i] {
-				d[i] = fill
-				continue
-			}
-			r := base + i
-			d[i] = dot(m.Data[r*n:r*n+n], x)
+		segRows(dot, d, m, k*seg, x, skip, fill)
+	}
+}
+
+// segRows computes d[i] = row(base+i) · x for every i in [0, len(d)),
+// or fill where skip[i] is true — one masked segment of a united
+// matrix, the serial row loop behind PackedGemvRows and every
+// one-input PackedGemmRows.
+func segRows(dot func(row, x []float32) float32, d Vector, m *Matrix, base int, x Vector, skip []bool, fill float32) {
+	n := m.Cols
+	for i := range d {
+		if skip[i] {
+			d[i] = fill
+			continue
 		}
+		r := base + i
+		d[i] = dot(m.Data[r*n:r*n+n], x)
 	}
 }
 
@@ -149,7 +156,9 @@ func (c KernelChain) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []b
 // weight rows (tall: 4h/3h/2h) rather than the batch (wide but short).
 // Every output element is the same row-kernel chain as the serial
 // per-member call, so the result is bitwise identical to len(xs)
-// independent c.Gemv/c.PackedGemvRows calls at any GOMAXPROCS.
+// independent c.Gemv/c.PackedGemvRows calls at any GOMAXPROCS. One
+// input never forks and never allocates: it is the serial Run's
+// per-step GEMV.
 func (c KernelChain) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemmRows shape mismatch: dst %dx%d, m %dx%d, %d inputs",
@@ -172,22 +181,51 @@ func (c KernelChain) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [
 		}
 	}
 	dot := c.rowDot()
-	n := m.Cols
-	forkJoin(m.Rows, m.Rows*n*len(xs), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			wrow := m.Data[r*n : r*n+n]
-			out := dst.Data[r:]
-			for b, x := range xs {
-				if skips != nil {
-					if sk := skips[b]; sk != nil && sk[r%len(sk)] {
-						out[b*dst.Cols] = fill
-						continue
-					}
-				}
-				out[b*dst.Cols] = dot(wrow, x)
-			}
+	if len(xs) == 1 {
+		// PackedGemvRows' serial segment loop over dst's one row.
+		out := dst.Data[:m.Rows]
+		var skip []bool
+		if skips != nil {
+			skip = skips[0]
 		}
-	})
+		if skip == nil {
+			gemvSpan(dot, out, m, xs[0], 0)
+			return
+		}
+		for base := 0; base < m.Rows; base += len(skip) {
+			segRows(dot, out[base:base+len(skip)], m, base, xs[0], skip, fill)
+		}
+		return
+	}
+	if shards := shardCount(m.Rows, m.Rows*m.Cols*len(xs)); shards > 1 {
+		d := dst.Data
+		cols := dst.Cols
+		forkJoin(shards, m.Rows, func(lo, hi int) {
+			gemmRowsSpan(dot, d, cols, m, xs, skips, fill, lo, hi)
+		})
+		return
+	}
+	gemmRowsSpan(dot, dst.Data, dst.Cols, m, xs, skips, fill, 0, m.Rows)
+}
+
+// gemmRowsSpan is the united-row range [lo, hi) of PackedGemmRows:
+// each weight row streams once and is dotted against every input,
+// writing column r of the row-major destination d (cols wide).
+func gemmRowsSpan(dot func(row, x []float32) float32, d []float32, cols int, m *Matrix, xs []Vector, skips [][]bool, fill float32, lo, hi int) {
+	n := m.Cols
+	for r := lo; r < hi; r++ {
+		wrow := m.Data[r*n : r*n+n]
+		out := d[r:]
+		for b, x := range xs {
+			if skips != nil {
+				if sk := skips[b]; sk != nil && sk[r%len(sk)] {
+					out[b*cols] = fill
+					continue
+				}
+			}
+			out[b*cols] = dot(wrow, x)
+		}
+	}
 }
 
 // PackedGemm computes dst row t = m · xs[t] for every input vector —
@@ -208,9 +246,16 @@ func (c KernelChain) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 		}
 	}
 	dot := c.rowDot()
-	forkJoin(len(xs), len(xs)*m.Rows*m.Cols, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			gemvSpan(dot, dst.Row(t), m, xs[t], 0)
-		}
-	})
+	if shards := shardCount(len(xs), len(xs)*m.Rows*m.Cols); shards > 1 {
+		d := dst.Data
+		forkJoin(shards, len(xs), func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				gemvSpan(dot, d[t*m.Rows:(t+1)*m.Rows], m, xs[t], 0)
+			}
+		})
+		return
+	}
+	for t, x := range xs {
+		gemvSpan(dot, dst.Row(t), m, x, 0)
+	}
 }

@@ -3,7 +3,6 @@ package tensor
 import (
 	"runtime"
 	"testing"
-	"testing/quick"
 
 	"mobilstm/internal/rng"
 )
@@ -255,6 +254,44 @@ func TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS(t *testing.T) {
 	})
 }
 
+// TestPackedGemmRowsOneInputIsSerialGemv pins the batch-of-one path:
+// a one-input PackedGemmRows is bitwise PackedGemvRows (masked or not)
+// and, at a shape above the fork gate, neither forks nor allocates —
+// the serial Run's per-step kernel cost.
+func TestPackedGemmRowsOneInputIsSerialGemv(t *testing.T) {
+	forEachChain(t, func(t *testing.T, c KernelChain, _ func(row, x []float32) float32) {
+		r := rng.New(0x4a)
+		const seg, gates, cols = 192, 3, 192 // 576×192 ≥ parallelMinWork
+		m := randMatrix(r, seg*gates, cols)
+		xs := []Vector{randVector(r, cols)}
+		mask := make([]bool, seg)
+		for i := range mask {
+			mask[i] = r.Bernoulli(0.4)
+		}
+		for _, skip := range [][]bool{nil, mask} {
+			want := NewVector(seg * gates)
+			segs := make([]Vector, gates)
+			for g := range segs {
+				segs[g] = want[g*seg : (g+1)*seg]
+			}
+			c.PackedGemvRows(segs, m, xs[0], skip, -2)
+			dst := NewMatrix(1, seg*gates)
+			skips := [][]bool{skip}
+			atGOMAXPROCS(t, []int{1, 4}, func(t *testing.T) {
+				allocs := testing.AllocsPerRun(20, func() { c.PackedGemmRows(dst, m, xs, skips, -2) })
+				if allocs != 0 {
+					t.Fatalf("GOMAXPROCS %d: one-input PackedGemmRows allocates %v times", runtime.GOMAXPROCS(0), allocs)
+				}
+				for i, v := range dst.Data {
+					if v != want[i] {
+						t.Fatalf("GOMAXPROCS %d row %d: %v != serial %v", runtime.GOMAXPROCS(0), i, v, want[i])
+					}
+				}
+			})
+		}
+	})
+}
+
 // TestPackedGemmRowsNilSkipsEqualsPackedGemm: a nil mask set (and a set
 // of all-nil member masks) degenerates to the plain batched product.
 func TestPackedGemmRowsNilSkipsEqualsPackedGemm(t *testing.T) {
@@ -310,54 +347,6 @@ func expectPanics(t *testing.T, cases map[string]func()) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestParallelGemvBitwiseEqualsGemvProperty(t *testing.T) {
-	r := rng.New(0x45)
-	f := func(seed uint64) bool {
-		rr := rng.New(seed)
-		// Shapes straddle the size gate: some serial, some sharded.
-		rows := 1 + rr.Intn(600)
-		cols := 1 + rr.Intn(300)
-		m := randMatrix(rr, rows, cols)
-		x := randVector(rr, cols)
-		want := NewVector(rows)
-		Gemv(want, m, x)
-		got := NewVector(rows)
-		ParallelGemv(got, m, x)
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-		cfg := &quick.Config{MaxCount: 25, Values: quickSeed(r)}
-		if err := quick.Check(f, cfg); err != nil {
-			t.Fatalf("GOMAXPROCS %d: %v", runtime.GOMAXPROCS(0), err)
-		}
-	})
-}
-
-func TestParallelGemmBitwiseEqualsGemm(t *testing.T) {
-	r := rng.New(0x46)
-	for _, sh := range [][3]int{{1, 1, 1}, {5, 3, 7}, {130, 70, 40}, {257, 129, 65}} {
-		a := randMatrix(r, sh[0], sh[1])
-		b := randMatrix(r, sh[1], sh[2])
-		want := NewMatrix(sh[0], sh[2])
-		Gemm(want, a, b)
-		atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-			got := NewMatrix(sh[0], sh[2])
-			ParallelGemm(got, a, b)
-			for i := range got.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("GOMAXPROCS %d shape %v elem %d: %v != %v",
-						runtime.GOMAXPROCS(0), sh, i, got.Data[i], want.Data[i])
-				}
-			}
-		})
 	}
 }
 

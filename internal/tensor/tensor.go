@@ -3,7 +3,7 @@
 // family, and the activation functions from the paper (sigmoid, hard
 // sigmoid, tanh).
 //
-// The kernels come in three tiers sharing one inner accumulation chain
+// The kernels come in two tiers sharing one inner accumulation chain
 // (kernel.go), so they are bitwise interchangeable:
 //
 //   - serial: Gemv, GemvRows (DRS skip mask), Gemm — every output row
@@ -12,10 +12,9 @@
 //   - packed (packed.go): Pack/PackedGemv/PackedGemvRows/PackedGemm/
 //     PackedGemmRows over a row-wise united gate matrix (the paper's
 //     U_{f,i,c,o}), streaming the input once per cell instead of once
-//     per gate;
-//   - parallel (parallel.go): ParallelGemv/ParallelGemm, row-sharded
-//     over a size-gated fork-join pool, bitwise identical to the
-//     serial kernels at any GOMAXPROCS.
+//     per gate. The batched PackedGemm/PackedGemmRows shard their
+//     destination rows over a size-gated fork-join pool (parallel.go),
+//     bitwise identical to serial at any GOMAXPROCS.
 //
 // The GEMV/GEMM kernels are methods on KernelChain (chain.go), which
 // names the accumulation chain they run: the canonical chain above
@@ -143,16 +142,22 @@ func Gemm(dst, a, b *Matrix) {
 		Panicf("tensor: Gemm shape mismatch: dst %dx%d, a %dx%d, b %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	gemmRange(dst, a, b, 0, a.Rows)
-}
-
-// Axpy computes dst[i] += alpha * x[i].
-func Axpy(dst Vector, alpha float32, x Vector) {
-	if len(dst) != len(x) {
-		Panicf("tensor: Axpy length mismatch")
-	}
-	for i := range dst {
-		dst[i] += alpha * x[i]
+	n := b.Cols
+	for i := 0; i < a.Rows; i++ {
+		drow := dst.Data[i*n : i*n+n]
+		for j := range drow {
+			drow[j] = 0
+		}
+		for k := 0; k < a.Cols; k++ {
+			aik := a.At(i, k)
+			if aik == 0 {
+				continue
+			}
+			brow := b.Data[k*n : k*n+n]
+			for j, bv := range brow {
+				drow[j] += aik * bv
+			}
+		}
 	}
 }
 
